@@ -3,13 +3,7 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.bench.Tables
 
-/** spark-submit entrypoints, one per paper table. Each prints the
-  * reproduced table (simulated seconds from measured work) next to the
-  * paper's reported numbers.
-  *
-  * Example:
-  *   spark-submit --class repro.jobs.Table4Job repro.jar
-  */
+/** The Spark session the table job runs in. */
 object TableJobs {
   def session(name: String): SparkSession =
     SparkSession.builder
@@ -20,58 +14,35 @@ object TableJobs {
       .getOrCreate()
 }
 
-object Table4Job {
-  def main(args: Array[String]): Unit = {
-    val spark = TableJobs.session("table4-tc")
-    println(Tables.table4(spark, Tables.benchLoader).render)
-    spark.stop()
-  }
-}
+/** spark-submit entrypoint for the paper's tables: prints each named table
+  * (simulated seconds from measured work) next to the paper's reported
+  * numbers, or every table when given no name.
+  *
+  * Example:
+  *   spark-submit --class repro.jobs.TableJob repro.jar table4 multigpu
+  */
+object TableJob {
+  private val tables: Seq[(String, (SparkSession, Tables.Loader) => String)] = Seq(
+    "table4" -> ((s, l) => Tables.table4(s, l).render),
+    "table5" -> ((s, l) => Tables.table5(s, l).render),
+    "table6" -> ((s, l) => Tables.table6(s, l).render),
+    "table7" -> ((s, l) => Tables.table7(s, l).render),
+    "table8" -> ((s, l) => Tables.table8(s, l).render),
+    "table9" -> ((s, l) => Tables.table9(s, l).render),
+    "multigpu" -> ((s, l) => Tables.multiGpuScaling(s, l)._2),
+  )
 
-object Table5Job {
   def main(args: Array[String]): Unit = {
-    val spark = TableJobs.session("table5-kcl")
-    println(Tables.table5(spark, Tables.benchLoader).render)
-    spark.stop()
-  }
-}
-
-object Table6Job {
-  def main(args: Array[String]): Unit = {
-    val spark = TableJobs.session("table6-sl")
-    println(Tables.table6(spark, Tables.benchLoader).render)
-    spark.stop()
-  }
-}
-
-object Table7Job {
-  def main(args: Array[String]): Unit = {
-    val spark = TableJobs.session("table7-kmc")
-    println(Tables.table7(spark, Tables.benchLoader).render)
-    spark.stop()
-  }
-}
-
-object Table8Job {
-  def main(args: Array[String]): Unit = {
-    val spark = TableJobs.session("table8-fsm")
-    println(Tables.table8(spark, Tables.benchLoader).render)
-    spark.stop()
-  }
-}
-
-object Table9Job {
-  def main(args: Array[String]): Unit = {
-    val spark = TableJobs.session("table9-counting-only")
-    println(Tables.table9(spark, Tables.benchLoader).render)
-    spark.stop()
-  }
-}
-
-object MultiGpuJob {
-  def main(args: Array[String]): Unit = {
-    val spark = TableJobs.session("multi-gpu-scaling")
-    println(Tables.multiGpuScaling(spark, Tables.benchLoader)._2)
-    spark.stop()
+    val byName = tables.toMap
+    val unknown = args.filterNot(byName.contains)
+    if (unknown.nonEmpty) {
+      Console.err.println(s"unknown table ${unknown.mkString(", ")}; " +
+        s"usage: TableJob [${tables.map(_._1).mkString(" | ")}]...")
+      sys.exit(2)
+    }
+    val names = if (args.isEmpty) tables.map(_._1) else args.toSeq
+    val spark = TableJobs.session("g2miner-tables")
+    try names.foreach(n => println(byName(n)(spark, Tables.benchLoader)))
+    finally spark.stop()
   }
 }

@@ -65,37 +65,46 @@ object Tables {
   final case class SystemSims(
       count: Long,
       g2: Sim, pangolin: Sim, pbe: Sim, peregrine: Sim, graphZero: Sim,
-  )
+  ) {
+    def apply(system: String): Sim = system match {
+      case "G2Miner" => g2
+      case "Pangolin" => pangolin
+      case "PBE" => pbe
+      case "Peregrine" => peregrine
+      case "GraphZero" => graphZero
+    }
+  }
 
   /** Run a single explicit-pattern workload and derive all five systems'
-    * simulated times from two engine configurations:
+    * simulated times from the engine configurations of [[engineConfigs]].
+    */
+  def singlePattern(spark: SparkSession, spec: DataGraphs.Spec, g: CSRGraph, p: Pattern,
+                    induced: Boolean): SystemSims = {
+    val (mG2, mBase, pangScan) = engineConfigs(spark, g, p, induced)
+    derive(spec, g, oriented = p.isClique && !induced, mG2, mBase, pangScan)
+  }
+
+  /** The three engine runs every system is derived from:
     * (1) G²Miner: all optimizations (orientation for cliques, edgelist
     *     reduction, buffering, LGS for hub patterns);
     * (2) CPU/BFS baselines: no orientation, no LGS — the search-plan tree
-    *     the pattern-aware CPU systems and BFS GPU systems all explore.
+    *     the pattern-aware CPU systems and BFS GPU systems all explore;
+    * (3) Pangolin scan volume: same tree, whole-list scans (no buffering, no
+    *     early exit) — its extend-then-filter execution model.
+    * Returns the first two runs' metrics and the third's set-op work.
     */
-  def singlePattern(spark: SparkSession, spec: DataGraphs.Spec, g: CSRGraph, p: Pattern,
-                    induced: Boolean, countingOnly: Boolean = false): SystemSims = {
-    val plan = Planner.plan(p, induced, countingOnly)
-    val mG2 = DfsEngine.run(spark, g, plan, DfsConfig(lgs = true, countingOnly = countingOnly))
-    val mBase = DfsEngine.run(spark, g, Planner.plan(p, induced),
-      DfsConfig(orientation = false, lgs = false))
-    // Pangolin scan volume: same tree, whole-list scans (no buffering, no
-    // early exit) — its extend-then-filter execution model.
-    val mPang = DfsEngine.run(spark, g, Planner.plan(p, induced),
-      DfsConfig(buffering = false, boundedMerges = false, lgs = false))
-    require(countingOnly || mG2.count == mBase.count,
-      s"engine disagreement: ${mG2.count} vs ${mBase.count} for $p")
-    derive(spec, g, oriented = p.isClique && !induced, mG2, mBase, mPang.setOpWork)
+  private def engineConfigs(spark: SparkSession, g: CSRGraph, p: Pattern,
+                            induced: Boolean): (Metrics, Metrics, Long) = {
+    val plan = Planner.plan(p, induced)
+    val mG2 = DfsEngine.run(spark, g, plan, DfsConfig(lgs = true))
+    val mBase = DfsEngine.run(spark, g, plan, DfsConfig(orientation = false, lgs = false))
+    val mPang = DfsEngine.run(spark, g, plan, DfsConfig(buffering = false, boundedMerges = false, lgs = false))
+    require(mG2.count == mBase.count, s"engine disagreement: ${mG2.count} vs ${mBase.count} for $p")
+    (mG2, mBase, mPang.setOpWork)
   }
 
-  /** Per-candidate isomorphism/dedup checking overhead of Pangolin's
-    * extend-then-filter execution, on top of its raw scan volume.
-    */
-  private val PangolinIsoFactor = 1.5
-
-  private[bench] def derive(spec: DataGraphs.Spec, g: CSRGraph, oriented: Boolean,
-                            mG2: Metrics, mBase: Metrics, pangScanWork: Long): SystemSims = {
+  private def derive(spec: DataGraphs.Spec, g: CSRGraph, oriented: Boolean,
+                     mG2: Metrics, mBase: Metrics, pangScanWork: Long): SystemSims = {
     // Counting workloads never materialize the leaf level, so memory
     // traffic and cross-partition communication are charged only for the
     // intermediate subgraph lists.
@@ -110,10 +119,9 @@ object Tables {
     val pangolin = simulate(
       Workload((pangScanWork * PangolinIsoFactor).toLong, rowsOrient, pangolinPeak), PangolinGpu)
     // PBE: BFS with reuse, no orientation; partitioning trades OoM for
-    // cross-partition communication (modeled as extra element traffic per
-    // materialized row).
+    // cross-partition communication.
     val pbe = simulate(
-      Workload(mBase.setOpWork + 16L * rowsBase, rowsBase, 0, commRows = rowsBase), PbeGpu)
+      Workload(mBase.setOpWork + PbeCommWorkPerRow * rowsBase, rowsBase, 0, commRows = rowsBase), PbeGpu)
     // Peregrine runs the same plan (incl. buffering); its gap to GraphZero
     // is generic-engine overhead, captured by the efficiency profile.
     val peregrine = simulate(Workload(mBase.setOpWork, 0, 0), PeregrineCpu)
@@ -122,80 +130,55 @@ object Tables {
   }
 
   // ------------------------------------------------------------------
-  // Table 4: triangle counting
+  // Tables 4–7: one column per (graph, workload); every system's cell
+  // comes from the column's SystemSims
   // ------------------------------------------------------------------
-  def table4(spark: SparkSession, load: Loader): TableResult = cached("table4", load) {
-    val systems = Seq("G2Miner", "Pangolin", "PBE", "Peregrine", "GraphZero")
-    val specs = Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.tw2, DataGraphs.tw4, DataGraphs.fr, DataGraphs.uk)
-    var sims = Map.empty[(String, String), Sim]
-    var counts = Map.empty[String, Long]
-    for (s <- specs) {
-      val r = singlePattern(spark, s, load(s), Patterns.triangle, induced = false)
-      counts += s.name -> r.count
-      sims ++= Map(("G2Miner", s.name) -> r.g2, ("Pangolin", s.name) -> r.pangolin,
-        ("PBE", s.name) -> r.pbe, ("Peregrine", s.name) -> r.peregrine, ("GraphZero", s.name) -> r.graphZero)
-    }
-    TableResult("Table 4: TC running time (sim-sec)", specs.map(_.name), systems, sims, counts, PaperNumbers.table4)
-  }
+  private type Mine = (SparkSession, DataGraphs.Spec, CSRGraph) => SystemSims
 
-  // ------------------------------------------------------------------
-  // Table 5: k-clique listing
-  // ------------------------------------------------------------------
-  def table5(spark: SparkSession, load: Loader): TableResult = cached("table5", load) {
-    val systems = Seq("G2Miner", "Pangolin", "PBE", "Peregrine", "GraphZero")
-    val work4 = Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.tw2, DataGraphs.tw4, DataGraphs.fr).map(s => (s, 4))
-    val work5 = Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.fr).map(s => (s, 5))
-    var sims = Map.empty[(String, String), Sim]
-    var counts = Map.empty[String, Long]
-    for ((s, k) <- work4 ++ work5) {
-      val colName = s"${k}CL/${s.name}"
-      val r = singlePattern(spark, s, load(s), Patterns.clique(k), induced = false)
-      counts += colName -> r.count
-      sims ++= Map(("G2Miner", colName) -> r.g2, ("Pangolin", colName) -> r.pangolin,
-        ("PBE", colName) -> r.pbe, ("Peregrine", colName) -> r.peregrine, ("GraphZero", colName) -> r.graphZero)
-    }
-    TableResult("Table 5: k-CL running time (sim-sec)", PaperNumbers.clCols, systems, sims, counts, PaperNumbers.table5)
-  }
+  private final case class Column(name: String, spec: DataGraphs.Spec, mine: Mine)
 
-  // ------------------------------------------------------------------
-  // Table 6: subgraph listing (edge-induced diamond, 4-cycle)
-  // ------------------------------------------------------------------
-  def table6(spark: SparkSession, load: Loader): TableResult = cached("table6", load) {
-    val systems = Seq("G2Miner", "PBE", "Peregrine", "GraphZero")
-    val diamondW = Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.tw2, DataGraphs.tw4, DataGraphs.fr)
-      .map(s => (s, Patterns.diamond, "dia"))
-    val cycleW = Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.fr).map(s => (s, Patterns.cycle4, "c4"))
-    var sims = Map.empty[(String, String), Sim]
-    var counts = Map.empty[String, Long]
-    for ((s, p, tag) <- diamondW ++ cycleW) {
-      val colName = s"$tag/${s.name}"
-      val r = singlePattern(spark, s, load(s), p, induced = false)
-      counts += colName -> r.count
-      sims ++= Map(("G2Miner", colName) -> r.g2, ("PBE", colName) -> r.pbe,
-        ("Peregrine", colName) -> r.peregrine, ("GraphZero", colName) -> r.graphZero)
-    }
-    TableResult("Table 6: SL running time (sim-sec)", PaperNumbers.slCols, systems, sims, counts, PaperNumbers.table6)
-  }
+  private def columns(prefix: String, specs: Seq[DataGraphs.Spec], mine: Mine): Seq[Column] =
+    specs.map(s => Column(prefix + s.name, s, mine))
 
-  // ------------------------------------------------------------------
-  // Table 7: k-motif counting (vertex-induced, multi-pattern)
-  // ------------------------------------------------------------------
-  def table7(spark: SparkSession, load: Loader): TableResult = cached("table7", load) {
-    val systems = Seq("G2Miner", "Pangolin", "Peregrine", "GraphZero")
-    val work3 = Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.tw2, DataGraphs.tw4, DataGraphs.fr).map(s => (s, 3))
-    val work4 = Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.fr).map(s => (s, 4))
-    var sims = Map.empty[(String, String), Sim]
-    var counts = Map.empty[String, Long]
-    for ((s, k) <- work3 ++ work4) {
-      val colName = s"${k}MC/${s.name}"
-      val g = load(s)
-      val r = motifWorkload(spark, s, g, k)
-      counts += colName -> r.count
-      sims ++= Map(("G2Miner", colName) -> r.g2, ("Pangolin", colName) -> r.pangolin,
-        ("Peregrine", colName) -> r.peregrine, ("GraphZero", colName) -> r.graphZero)
+  private def systemTable(name: String, title: String, systems: Seq[String], paper: PaperNumbers.Table,
+                          cols: Seq[Column])(spark: SparkSession, load: Loader): TableResult =
+    cached(name, load) {
+      val results = cols.map(c => c.name -> c.mine(spark, c.spec, load(c.spec)))
+      val sims = for ((col, r) <- results; sys <- systems) yield (sys, col) -> r(sys)
+      val counts = results.map { case (col, r) => col -> r.count }
+      TableResult(title, cols.map(_.name), systems, sims.toMap, counts.toMap, paper)
     }
-    TableResult("Table 7: k-MC running time (sim-sec)", PaperNumbers.mcCols, systems, sims, counts, PaperNumbers.table7)
-  }
+
+  private val allSystems = Seq("G2Miner", "Pangolin", "PBE", "Peregrine", "GraphZero")
+  private val fiveGraphs = Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.tw2, DataGraphs.tw4, DataGraphs.fr)
+  private val threeGraphs = Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.fr)
+
+  private def listing(p: Pattern): Mine = singlePattern(_, _, _, p, induced = false)
+
+  /** Table 4: triangle counting. */
+  def table4(spark: SparkSession, load: Loader): TableResult =
+    systemTable("table4", "Table 4: TC running time (sim-sec)", allSystems, PaperNumbers.table4,
+      columns("", fiveGraphs :+ DataGraphs.uk, listing(Patterns.triangle)))(spark, load)
+
+  /** Table 5: k-clique listing. */
+  def table5(spark: SparkSession, load: Loader): TableResult =
+    systemTable("table5", "Table 5: k-CL running time (sim-sec)", allSystems, PaperNumbers.table5,
+      columns("4CL/", fiveGraphs, listing(Patterns.clique(4))) ++
+        columns("5CL/", threeGraphs, listing(Patterns.clique(5))))(spark, load)
+
+  /** Table 6: subgraph listing (edge-induced diamond, 4-cycle). */
+  def table6(spark: SparkSession, load: Loader): TableResult =
+    systemTable("table6", "Table 6: SL running time (sim-sec)", allSystems.filterNot(_ == "Pangolin"),
+      PaperNumbers.table6,
+      columns("dia/", fiveGraphs, listing(Patterns.diamond)) ++
+        columns("c4/", threeGraphs, listing(Patterns.cycle4)))(spark, load)
+
+  /** Table 7: k-motif counting (vertex-induced, multi-pattern). */
+  def table7(spark: SparkSession, load: Loader): TableResult =
+    systemTable("table7", "Table 7: k-MC running time (sim-sec)", allSystems.filterNot(_ == "PBE"),
+      PaperNumbers.table7,
+      columns("3MC/", fiveGraphs, motifWorkload(_, _, _, 3)) ++
+        columns("4MC/", threeGraphs, motifWorkload(_, _, _, 4)))(spark, load)
 
   /** Multi-pattern workload: per-motif plans summed; G²Miner additionally
     * shares the common triangle prefix across the triangle-rooted 4-motifs
@@ -203,15 +186,11 @@ object Tables {
     * separately (no sharing) — identical work here since we sum per-pattern.
     */
   def motifWorkload(spark: SparkSession, spec: DataGraphs.Spec, g: CSRGraph, k: Int): SystemSims = {
-    val motifs = Patterns.motifs(k)
-    val runs = motifs.map { p =>
-      // cliques are planned non-induced (equivalent counts, enables orientation)
-      if (p.isClique) (p, singleMotifMetrics(spark, g, p, induced = false))
-      else (p, singleMotifMetrics(spark, g, p, induced = true))
-    }
-    val total = runs.map(_._2._1).reduce(_ combine _)
-    val base = runs.map(_._2._2).reduce(_ combine _)
-    val pangScan = runs.map(_._2._3).sum
+    // cliques are planned non-induced (equivalent counts, enables orientation)
+    val runs = Patterns.motifs(k).map(p => engineConfigs(spark, g, p, induced = !p.isClique))
+    val total = runs.map(_._1).reduce(_ combine _)
+    val base = runs.map(_._2).reduce(_ combine _)
+    val pangScan = runs.map(_._3).sum
     // kernel fission sharing: the triangle-prefix group (tailed-tri,
     // diamond, 4-clique) enumerates triangles once instead of 3 times
     val sharing =
@@ -222,16 +201,6 @@ object Tables {
       } else 0L
     val g2Metrics = total.copy(setOpWork = math.max(0L, total.setOpWork - sharing))
     derive(spec, g, oriented = false, g2Metrics, base, pangScan)
-  }
-
-  private def singleMotifMetrics(spark: SparkSession, g: CSRGraph, p: Pattern,
-                                 induced: Boolean): (Metrics, Metrics, Long) = {
-    val plan = Planner.plan(p, induced)
-    val mG2 = DfsEngine.run(spark, g, plan, DfsConfig(lgs = true))
-    val mBase = DfsEngine.run(spark, g, plan, DfsConfig(orientation = false, lgs = false))
-    val mPang = DfsEngine.run(spark, g, plan, DfsConfig(buffering = false, boundedMerges = false, lgs = false))
-    require(mG2.count == mBase.count, s"motif disagreement for $p: ${mG2.count} vs ${mBase.count}")
-    (mG2, mBase, mPang.setOpWork)
   }
 
   // ------------------------------------------------------------------
@@ -260,8 +229,7 @@ object Tables {
       val res = Fsm.run(spark, g, Fsm.FsmConfig(minSupport = scaled.values.min))
       val m = res.metrics
       val embRows = m.levelEmbeddings.sum
-      val supportWork = embRows * 4L // automorphism-expanded aggregation
-      val baseWork = m.extensionWork + supportWork
+      val baseWork = m.extensionWork + embRows * FsmSupportWorkPerEmbedding
       // Paper-scale footprint: level-2 extension candidates dominate and
       // are σ-independent (OomModel.fsmBytes).
       val fullPeak = OomModel.fsmBytes(spec.paper, replication = 1.0).toLong
@@ -270,7 +238,7 @@ object Tables {
         val freq = res.allSupports.filter(_._2 >= scaled(sig))
         counts += colName -> freq.size.toLong
         // tighter σ prunes the pattern space and with it part of the work
-        val workFrac = math.max(0.35,
+        val workFrac = math.max(FsmMinWorkFrac,
           (freq.size + 1).toDouble / (res.allSupports.size + 1))
         val work = (baseWork * workFrac).toLong
         // G²Miner: bounded BFS (opt M, peak = one block) + label pruning (opt N)
@@ -279,17 +247,15 @@ object Tables {
         // Pangolin: full subgraph lists, no bounded blocks
         sims += ("Pangolin", colName) -> simulate(
           Workload(work, embRows, fullPeak), PangolinGpu)
-        // Peregrine: pattern-at-a-time on CPU — each pattern re-explores
-        // its own 1..k-1-edge prefixes instead of sharing them (≈ ×2 work)
-        val patFactor = 2.0
+        // Peregrine: pattern-at-a-time on CPU
         sims += ("Peregrine", colName) -> simulate(
-          Workload((work * patFactor).toLong, 0, 0), PeregrineCpu)
+          Workload((work * PeregrineFsmPatternFactor).toLong, 0, 0), PeregrineCpu)
         // DistGraph: distributed CPU; replicated embeddings (×6) + partition
-        // comm + fixed startup that dominates small graphs (the Mico column)
+        // comm + fixed startup
+        val distRows = embRows * DistGraphRowFactor
         sims += ("DistGraph", colName) -> simulate(
-          Workload(work, embRows * 4, OomModel.fsmBytes(spec.paper, replication = 6.0).toLong,
-            commRows = embRows * 4),
-          DistGraphCpu.copy(fixedOverheadSec = 1.2e-4 * math.sqrt(g.n.toDouble)))
+          Workload(work, distRows, OomModel.fsmBytes(spec.paper, replication = 6.0).toLong, commRows = distRows),
+          DistGraphCpu.copy(fixedOverheadSec = distGraphStartupSec(g.n)))
       }
     }
     TableResult("Table 8: 3-FSM running time (sim-sec)", PaperNumbers.fsmCols, systems, sims, counts, PaperNumbers.table8)
@@ -303,7 +269,7 @@ object Tables {
     var sims = Map.empty[(String, String), Sim]
     var counts = Map.empty[String, Long]
     // diamond: fused C(n,2) counting (Algorithm 3)
-    for (s <- Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.tw2, DataGraphs.tw4, DataGraphs.fr)) {
+    for (s <- fiveGraphs) {
       val colName = s"dia/${s.name}"
       val g = load(s)
       val plan = Planner.plan(Patterns.diamond, induced = false, countingOnly = true)
@@ -315,8 +281,7 @@ object Tables {
         Workload(m.setOpWork + m.bufferSavedWork, 0, 0), PeregrineCpu)
     }
     // 3-motif / 4-motif: formula-based counting (pattern decomposition)
-    for ((s, k) <- Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.tw2, DataGraphs.tw4, DataGraphs.fr).map((_, 3)) ++
-                   Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.fr).map((_, 4))) {
+    for ((s, k) <- fiveGraphs.map((_, 3)) ++ threeGraphs.map((_, 4))) {
       val colName = s"${k}MC/${s.name}"
       val g = load(s)
       val fr = if (k == 3) MotifFormulas.threeMotifs(g) else MotifFormulas.fourMotifs(spark, g)
@@ -339,11 +304,10 @@ object Tables {
       DfsEngine.perTaskWork(g, Planner.plan(p, induced = true), DfsConfig(orientation = false))
     }.reduce { (a, b) => a.zip(b).map { case (x, y) => x + y } }
     val thr = G2MinerGpu.device.elemOpsPerSec * G2MinerGpu.efficiency
-    val warps = 512 // simulated resident warps per device (adaptive buffering)
     val rows = Vector.newBuilder[ScalingRow]
     for (n <- 1 to 8; policy <- Seq[Scheduler.Policy](
            Scheduler.EvenSplit,
-           Scheduler.ChunkedRoundRobin(Scheduler.paperChunkSize(work.length, warps)))) {
+           Scheduler.ChunkedRoundRobin(Scheduler.paperChunkSize(work.length, WarpsPerDevice)))) {
       val out = Scheduler.simulate(work, n, policy, thr)
       rows += ScalingRow(if (policy == Scheduler.EvenSplit) "even-split" else "chunked-rr",
         n, out.makespanSeconds, 0.0)

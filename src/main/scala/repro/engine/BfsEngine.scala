@@ -81,8 +81,4 @@ object BfsEngine {
       adj.unpersist()
     }
   }
-
-  /** Count-only helper returning just the match count. */
-  def count(spark: SparkSession, edges: DataFrame, plan: SearchPlan): Long =
-    run(spark, edges, plan).count
 }

@@ -49,15 +49,17 @@ final case class Metrics(
     tasks + o.tasks,
     bufferSavedWork + o.bufferSavedWork,
   )
-  def maxLevelNodes: Long = if (levelNodes.isEmpty) 0 else levelNodes.max
 }
 
 /** Single-threaded plan interpreter, one instance per Spark partition.
   * This is the analog of a generated CUDA kernel: the nested DFS loops,
   * set primitives, symmetry bounds and buffer reuse of §5/§6, driven by a
   * [[SearchPlan]] instead of generated source.
+  *
+  * @param lgsMode every task is a local graph search (opt E): vertex tasks
+  *                search the root's induced neighborhood
   */
-final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig) {
+final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode: Boolean) {
   private val k = plan.k
   private val levels = plan.levels
   val wc = new WorkCounter
@@ -86,7 +88,6 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig) {
   private val identity = Array.range(0, cap) // "all local vertices" view for LGS
 
   // --- LGS task state -------------------------------------------------
-  private var lgsMode = false
   private var lg: CSRGraph = g        // graph used for set ops (local in LGS)
   private var rootLocalBound = 0      // #local vertices with global id < v0
 
@@ -232,14 +233,21 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig) {
     lvl(i + 1) += n * (n - 1) / 2
   }
 
-  private def resetTask(): Unit = {
-    java.util.Arrays.fill(candStored, false)
-    lgsMode = false
-    lg = g
+  /** Run one task encoded by [[PlanExecutor.edgeTask]] or
+    * [[PlanExecutor.vertexTask]]: the single dispatch site of the engine.
+    */
+  def runTask(t: Long): Unit = {
+    val v0 = (t >>> 32).toInt
+    val v1 = (t & 0xffffffffL).toInt
+    if (v1 != -1) runEdgeTask(v0, v1)
+    else if (lgsMode) runLgsTask(v0)
+    else runVertexTask(v0)
   }
 
+  private def resetTask(): Unit = java.util.Arrays.fill(candStored, false)
+
   /** Edge-parallel task: the subtree rooted at edge (v0, v1). */
-  def runEdgeTask(v0: Int, v1: Int): Unit = {
+  private def runEdgeTask(v0: Int, v1: Int): Unit = {
     tasksRun += 1
     resetTask()
     matched(0) = v0
@@ -253,7 +261,7 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig) {
   }
 
   /** Vertex-parallel task: the subtree rooted at vertex v0. */
-  def runVertexTask(v0: Int): Unit = {
+  private def runVertexTask(v0: Int): Unit = {
     tasksRun += 1
     resetTask()
     matched(0) = v0
@@ -262,12 +270,11 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig) {
   }
 
   /** LGS task (hub patterns): search v0's local induced graph (Fig. 7). */
-  def runLgsTask(v0: Int): Unit = {
+  private def runLgsTask(v0: Int): Unit = {
     tasksRun += 1
     resetTask()
     if (g.deg(v0) < k - 1) return
     val (local, verts) = g.localGraph(v0, wc)
-    lgsMode = true
     lg = local
     matched(0) = v0
     rootLocalBound = {
@@ -277,19 +284,16 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig) {
       lo
     }
     descend(1)
-    lgsMode = false
-    lg = g
   }
 
-  def metrics(totalVertices: Long): Metrics = {
-    val l = lvl.clone()
-    l(0) = totalVertices
-    Metrics(count, wc.ops, l, tasksRun, savedWork)
-  }
+  /** Metrics of the tasks run so far; level 0 is left to the caller. */
+  def metrics: Metrics = Metrics(count, wc.ops, lvl.clone(), tasksRun, savedWork)
 }
 
-/** Output of one Spark partition's worth of tasks. */
-final case class TaskOut(count: Long, work: Long, lvl: Array[Long], tasks: Long, saved: Long)
+object PlanExecutor {
+  def edgeTask(v0: Int, v1: Int): Long = (v0.toLong << 32) | v1.toLong
+  def vertexTask(v0: Int): Long = (v0.toLong << 32) | 0xffffffffL
+}
 
 /** The G²Miner execution engine on Spark: tasks are distributed across the
   * cluster as a Dataset; each partition interprets the pattern's search
@@ -298,91 +302,68 @@ final case class TaskOut(count: Long, work: Long, lvl: Array[Long], tasks: Long,
   */
 object DfsEngine {
 
-  /** Resolve the effective (graph, plan, mode) after input/pattern-aware
-    * optimizations: orientation rewrites clique plans onto the DAG;
-    * LGS switches hub patterns to vertex-rooted local search.
+  /** The effective search after the input- and pattern-aware
+    * optimizations, with its task list.
     */
-  private[engine] def resolve(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig):
-      (CSRGraph, SearchPlan, Boolean, Boolean) = {
+  private final case class Prepared(graph: CSRGraph, plan: SearchPlan, lgs: Boolean, tasks: Array[Long])
+
+  /** Orientation rewrites clique plans onto the DAG (opt A); LGS switches
+    * hub patterns to vertex-rooted local search (opt E). Tasks are edges
+    * unless LGS or vertex parallelism is on.
+    */
+  private def prepare(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig): Prepared = {
     val orient = cfg.orientation && plan.pattern.isClique && !plan.induced
     val graph = if (orient) g.oriented else g
     val planX = if (orient) Planner.orientedCliquePlan(plan.k) else plan
     val useLgs = cfg.lgs && planX.hubRooted && graph.maxDegree <= cfg.lgsMaxDegree && planX.k >= 3
-    (graph, planX, orient, useLgs)
+    val tasks =
+      if (useLgs || !cfg.edgeParallel) Array.tabulate(graph.n)(PlanExecutor.vertexTask)
+      else {
+        // opt J: under a (v0, v1) symmetry condition, one task per
+        // undirected edge, oriented to satisfy it up front. Otherwise every
+        // arc, and level-1 bounds filter on the fly; the oriented clique
+        // plan has no conditions, so it takes every DAG arc.
+        val cond = if (cfg.edgelistReduction) planX.rootEdgeCond else None
+        val out = Array.newBuilder[Long]
+        for (u <- 0 until graph.n; i <- graph.offsets(u) until graph.offsets(u + 1)) {
+          val v = graph.nbrs(i)
+          cond match {
+            case None => out += PlanExecutor.edgeTask(u, v)
+            case Some(lowFirst) =>
+              if (u < v) out += (if (lowFirst) PlanExecutor.edgeTask(u, v) else PlanExecutor.edgeTask(v, u))
+          }
+        }
+        out.result()
+      }
+    Prepared(graph, planX, useLgs, tasks)
   }
 
-  /** Task list; vertex tasks encode (v << 32 | 0xffffffff). */
-  private[engine] def buildTasks(graph: CSRGraph, planX: SearchPlan, cfg: DfsConfig,
-                                 orient: Boolean, useLgs: Boolean): Array[Long] = {
-    val vertexParallel = useLgs || !cfg.edgeParallel
-    if (vertexParallel) {
-      Array.tabulate(graph.n)(v => (v.toLong << 32) | 0xffffffffL)
-    } else if (orient) {
-      // every DAG arc is a task; symmetry is subsumed by orientation
-      val out = new Array[Long](graph.numArcs)
-      var o = 0
-      var u = 0
-      while (u < graph.n) {
-        var i = graph.offsets(u)
-        while (i < graph.offsets(u + 1)) { out(o) = (u.toLong << 32) | graph.nbrs(i).toLong; o += 1; i += 1 }
-        u += 1
-      }
-      out
-    } else {
-      planX.rootEdgeCond match {
-        case Some(dir) if cfg.edgelistReduction =>
-          // opt J: one task per undirected edge, oriented to satisfy the
-          // (v0, v1) symmetry condition up front
-          graph.canonicalEdges.map { e =>
-            val a = (e >>> 32); val b = e & 0xffffffffL
-            if (dir) (a << 32) | b else (b << 32) | a
-          }
-        case _ =>
-          // both directions; level-1 bounds filter on the fly
-          val out = new Array[Long](graph.numArcs)
-          var o = 0
-          var u = 0
-          while (u < graph.n) {
-            var i = graph.offsets(u)
-            while (i < graph.offsets(u + 1)) { out(o) = (u.toLong << 32) | graph.nbrs(i).toLong; o += 1; i += 1 }
-            u += 1
-          }
-          out
-      }
-    }
-  }
-
-  private def runPartition(graph: CSRGraph, planX: SearchPlan, cfg: DfsConfig, useLgs: Boolean,
-                           tasks: Iterator[Long]): PlanExecutor = {
-    val ex = new PlanExecutor(graph, planX, cfg)
-    tasks.foreach { t =>
-      val v0 = (t >>> 32).toInt
-      val v1 = (t & 0xffffffffL).toInt
-      if (v1 == -1) { if (useLgs) ex.runLgsTask(v0) else ex.runVertexTask(v0) }
-      else ex.runEdgeTask(v0, v1)
-    }
-    ex
+  /** Level 0 of the search tree is every vertex of the input graph. */
+  private def withRoots(m: Metrics, g: CSRGraph): Metrics = {
+    val l = m.levelNodes.clone(); l(0) = g.n.toLong
+    m.copy(levelNodes = l)
   }
 
   def run(spark: SparkSession, g: CSRGraph, plan: SearchPlan, cfg: DfsConfig = DfsConfig()): Metrics = {
-    val (graph, planX, orient, useLgs) = resolve(g, plan, cfg)
-    val bc = spark.sparkContext.broadcast(graph)
-    val tasks = buildTasks(graph, planX, cfg, orient, useLgs)
+    // unpacked so that the task closure captures the plan, not the graph
+    val Prepared(graph, planX, useLgs, tasks) = prepare(g, plan, cfg)
     // Deterministic driver-side shuffle: spreads hub-rooted (heavy) tasks
     // across partitions without paying a Spark shuffle — the single-node
     // stand-in for the chunked round-robin device scheduler (§7.1).
     shuffleInPlace(tasks, seed = 0x5eed)
     val parallelism = math.max(1, spark.sparkContext.defaultParallelism)
-    val outs = spark.sparkContext.parallelize(tasks.toIndexedSeq, parallelism)
-      .mapPartitions { it =>
-        val ex = runPartition(bc.value, planX, cfg, useLgs, it)
-        Iterator.single(TaskOut(ex.count, ex.wc.ops, ex.lvl, ex.tasksRun, ex.savedWork))
-      }.collect()
-    bc.destroy()
-    val zero = Metrics(0, 0, new Array[Long](planX.k), 0, 0)
-    val m = outs.foldLeft(zero)((acc, t) => acc.combine(Metrics(t.count, t.work, t.lvl, t.tasks, t.saved)))
-    val l = m.levelNodes.clone(); l(0) = g.n.toLong
-    m.copy(levelNodes = l)
+    val bc = spark.sparkContext.broadcast(graph)
+    try {
+      val m = spark.sparkContext.parallelize(tasks.toIndexedSeq, parallelism)
+        .mapPartitions { it =>
+          val ex = new PlanExecutor(bc.value, planX, cfg, useLgs)
+          it.foreach(ex.runTask)
+          Iterator.single(ex.metrics)
+        }.reduce(_ combine _)
+      withRoots(m, g)
+    } finally {
+      bc.destroy()
+    }
   }
 
   private def shuffleInPlace(a: Array[Long], seed: Long): Unit = {
@@ -400,28 +381,20 @@ object DfsEngine {
     * attribution (bench graphs are small).
     */
   def perTaskWork(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig = DfsConfig()): Array[Long] = {
-    val (graph, planX, orient, useLgs) = resolve(g, plan, cfg)
-    val tasks = buildTasks(graph, planX, cfg, orient, useLgs)
-    val ex = new PlanExecutor(graph, planX, cfg)
-    val out = new Array[Long](tasks.length)
-    var i = 0
-    while (i < tasks.length) {
+    val p = prepare(g, plan, cfg)
+    val ex = new PlanExecutor(p.graph, p.plan, cfg, p.lgs)
+    p.tasks.map { t =>
       val before = ex.wc.ops
-      val t = tasks(i)
-      val v0 = (t >>> 32).toInt; val v1 = (t & 0xffffffffL).toInt
-      if (v1 == -1) { if (useLgs) ex.runLgsTask(v0) else ex.runVertexTask(v0) }
-      else ex.runEdgeTask(v0, v1)
-      out(i) = (ex.wc.ops - before) + 1 // +1: task launch floor
-      i += 1
+      ex.runTask(t)
+      (ex.wc.ops - before) + 1 // +1: task launch floor
     }
-    out
   }
 
   /** Convenience: local (non-Spark) run for tests and metric derivation. */
   def runLocal(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig = DfsConfig()): Metrics = {
-    val (graph, planX, orient, useLgs) = resolve(g, plan, cfg)
-    val tasks = buildTasks(graph, planX, cfg, orient, useLgs)
-    val ex = runPartition(graph, planX, cfg, useLgs, tasks.iterator)
-    ex.metrics(g.n.toLong)
+    val p = prepare(g, plan, cfg)
+    val ex = new PlanExecutor(p.graph, p.plan, cfg, p.lgs)
+    p.tasks.foreach(ex.runTask)
+    withRoots(ex.metrics, g)
   }
 }

@@ -94,25 +94,6 @@ final class CSRGraph(
     new CSRGraph(n, off, nb, labels)
   }
 
-  /** Rename vertices by descending degree (preprocessor option, §4.2):
-    * improves load balance / early-exit effectiveness for symmetry bounds.
-    */
-  def renamedByDegree: CSRGraph = {
-    val order = (0 until n).sortBy(v => (-deg(v), v)) // old ids, new order
-    val newId = new Array[Int](n)
-    order.zipWithIndex.foreach { case (old, nw) => newId(old) = nw }
-    val es = canonicalEdges.map { e =>
-      val u = newId((e >>> 32).toInt); val v = newId((e & 0xffffffffL).toInt)
-      (math.min(u, v), math.max(u, v))
-    }
-    val ls = if (labeled) {
-      val out = new Array[Int](n)
-      (0 until n).foreach(old => out(newId(old)) = labels(old))
-      out
-    } else Array.empty[Int]
-    CSRGraph.fromEdges(n, es.toIndexedSeq, ls)
-  }
-
   /** Local graph (optimization E, Fig. 7): the subgraph induced by N(root),
     * with vertices renamed 0..d-1 preserving id order (so symmetry bounds
     * survive renaming). Returns (localGraph, localId -> globalId) and the
@@ -145,19 +126,6 @@ final class CSRGraph(
     while (li < d) { System.arraycopy(adjLists(li), 0, nb, off(li), adjLists(li).length); li += 1 }
     (new CSRGraph(d, off, nb, Array.empty), verts)
   }
-
-  /** Partition vertices into `parts` contiguous ranges (multi-GPU
-    * hub-pattern partitioning, §7.2 (1)); returns the part of each vertex.
-    */
-  def partitionVertices(parts: Int): Array[Int] = {
-    val out = new Array[Int](n)
-    var v = 0
-    while (v < n) { out(v) = math.min(parts - 1, v * parts / math.max(1, n)); v += 1 }
-    out
-  }
-
-  /** Degree histogram stats used by input-aware heuristics. */
-  def stats: String = f"n=$n%d m=$numEdges%d maxDeg=$maxDegree%d avgDeg=${2.0 * numEdges / math.max(1, n)}%.1f"
 }
 
 object CSRGraph {
@@ -195,25 +163,6 @@ object CSRGraph {
     v = 0
     while (v < n) { java.util.Arrays.sort(nb, off(v), off(v + 1)); v += 1 }
     new CSRGraph(n, off, nb, labels)
-  }
-
-  /** Load from an edge DataFrame with integer columns (src, dst).
-    * Graphs in this repro are <= ~1M edges, so a driver collect is fine —
-    * the analog of the paper's graph loader reading a CSR file.
-    */
-  def fromEdgeDf(df: DataFrame, labelDf: Option[DataFrame] = None): CSRGraph = {
-    val rows = df.select("src", "dst").collect()
-    val edges = rows.map(r => (r.getInt(0), r.getInt(1))).toIndexedSeq
-    val maxV = if (edges.isEmpty) 0 else edges.iterator.flatMap(e => Iterator(e._1, e._2)).max
-    val labels = labelDf match {
-      case Some(ldf) =>
-        val lr = ldf.select("v", "label").collect()
-        val out = new Array[Int](maxV + 1)
-        lr.foreach(r => out(r.getInt(0)) = r.getInt(1))
-        out
-      case None => Array.empty[Int]
-    }
-    fromEdges(maxV + 1, edges, labels)
   }
 
   /** Canonical edge DataFrame (src < dst) for the BFS engine / oracle. */

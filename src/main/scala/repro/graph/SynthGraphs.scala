@@ -108,10 +108,6 @@ object SynthGraphs {
     CSRGraph.fromEdges(n, edges.toIndexedSeq, labels)
   }
 
-  /** Erdos–Renyi-ish uniform graph (low skew, Friendster-like). */
-  def uniform(n: Int, targetEdges: Int, seed: Long): CSRGraph =
-    powerLaw(n, targetEdges, alpha = 0.35, seed)
-
   /** Deterministic small fixtures for tests. */
   def cycle(n: Int): CSRGraph = CSRGraph.fromEdges(n, (0 until n).map(i => (i, (i + 1) % n)))
   def completeGraph(n: Int): CSRGraph =

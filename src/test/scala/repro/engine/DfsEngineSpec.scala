@@ -148,12 +148,20 @@ class DfsEngineSpec extends AnyFunSuite {
 
   test("perTaskWork sums near the run total and covers all tasks") {
     val g = TestGraphs.plMild
-    val plan = Planner.plan(Patterns.triangle, induced = false)
-    val w = DfsEngine.perTaskWork(g, plan, DfsConfig())
-    val m = DfsEngine.runLocal(g, plan, DfsConfig())
-    assert(w.length == m.tasks)
-    assert(w.sum >= m.setOpWork) // +1 launch floor per task
-    assert(w.forall(_ >= 1))
+    for {
+      (cfgName, cfg) <- allConfigs.filter(c =>
+        Set("default", "lgs", "vertex-parallel", "no-orientation", "no-reduction").contains(c._1))
+      (pName, p, induced) <- Seq(("triangle", Patterns.triangle, false), ("diamond", Patterns.diamond, false),
+        ("4-clique", Patterns.clique(4), false), ("4-cycle", Patterns.cycle4, false),
+        ("3-star", Patterns.star(4), true))
+    } {
+      val plan = Planner.plan(p, induced)
+      val w = DfsEngine.perTaskWork(g, plan, cfg)
+      val m = DfsEngine.runLocal(g, plan, cfg)
+      assert(w.length == m.tasks, s"$pName $cfgName")
+      assert(w.sum == m.setOpWork + m.tasks, s"$pName $cfgName") // +1 launch floor per task
+      assert(w.forall(_ >= 1), s"$pName $cfgName")
+    }
   }
 
   // ---- known closed-form counts -----------------------------------------

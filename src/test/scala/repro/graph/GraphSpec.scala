@@ -55,15 +55,6 @@ class GraphSpec extends AnyFunSuite {
     }
   }
 
-  test("renamedByDegree preserves the graph up to isomorphism") {
-    val g = TestGraphs.plSkew
-    val r = g.renamedByDegree
-    assert(r.numEdges == g.numEdges && r.n == g.n)
-    // highest-degree vertex becomes 0
-    assert(r.deg(0) == g.maxDegree)
-    assert((0 until r.n - 1).forall(v => r.deg(v) >= r.deg(v + 1)))
-  }
-
   test("localGraph is the induced neighborhood with order-preserving rename") {
     val g = TestGraphs.plDense
     val wc = new WorkCounter
@@ -74,13 +65,6 @@ class GraphSpec extends AnyFunSuite {
     for (i <- 0 until lg.n; j <- 0 until lg.n if i != j)
       assert(lg.hasEdge(i, j) == g.hasEdge(verts(i), verts(j)))
     assert(wc.ops > 0)
-  }
-
-  test("partitionVertices covers all parts contiguously") {
-    val g = TestGraphs.plMild
-    val parts = g.partitionVertices(4)
-    assert(parts.toSet == Set(0, 1, 2, 3))
-    assert(parts.toSeq == parts.sorted.toSeq)
   }
 
   test("powerLaw generator is deterministic in its seed") {
@@ -144,9 +128,5 @@ class GraphSpec extends AnyFunSuite {
       assert(g.n <= s.n && g.numEdges > 0)
       if (s.labels > 0) assert(g.labeled)
     }
-  }
-
-  test("graph stats string") {
-    assert(TestGraphs.k7.stats.contains("n=7"))
   }
 }
