@@ -1,20 +1,30 @@
 package repro.fsm
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
+import scala.reflect.ClassTag
+import java.util.concurrent.ConcurrentHashMap
+import org.apache.spark.HashPartitioner
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.SparkSession
 import repro.graph.CSRGraph
 import repro.pattern.{Pattern, Patterns}
 
 /** Frequent Subgraph Mining (k-FSM) by edge extension with MNI ("domain")
   * support, the paper's §5.2/§7.2 workload.
   *
-  * The embedding lists live in Spark Datasets and grow level by level
-  * (bounded BFS, optimization M): the partition count is sized so each
-  * "block" of embeddings fits the simulated device budget. Support is
-  * computed with DataFrame aggregation (min over per-position distinct
-  * vertex counts, expanded over pattern automorphisms so MNI matches the
-  * GraMi definition). Label-frequency pruning (optimization N) removes
-  * vertices whose label cannot appear in any frequent pattern.
+  * The embedding lists live in plain RDDs and grow level by level (bounded
+  * BFS, optimization M): the partition count is sized from the row count so
+  * each "block" of embeddings fits the simulated device budget. A level
+  * costs two shuffles. The first deduplicates the extended embeddings,
+  * which are already distinct within each map partition. The second
+  * carries (pattern, orbit, vertex) triples, distinct within each map
+  * partition, and counts distinct vertices per (pattern, orbit) on the
+  * reduce side; a pattern's support is the minimum over its orbits, taken
+  * on the driver. Orbits are unions over pattern automorphisms, so MNI
+  * matches the GraMi definition. Label-frequency pruning (optimization N)
+  * removes vertices whose label cannot appear in any frequent pattern.
   */
 object Fsm {
 
@@ -23,7 +33,11 @@ object Fsm {
       maxEdges: Int = 3,
       labelPruning: Boolean = true,
       blockRows: Long = 1L << 16,
-  )
+  ) {
+    require(minSupport >= 1, s"minSupport must be at least 1, got $minSupport")
+    require(maxEdges >= 1, s"maxEdges must be at least 1, got $maxEdges")
+    require(blockRows >= 1, s"blockRows must be at least 1, got $blockRows")
+  }
 
   final case class FsmMetrics(
       levelEmbeddings: Vector[Long],    // canonical embeddings per level
@@ -43,15 +57,23 @@ object Fsm {
   final case class FsmResult(frequent: Map[String, Long], allSupports: Map[String, Long],
                              metrics: FsmMetrics)
 
-  /** One embedding: pattern canonical code + data vertices by position.
-    * (Public: Spark's generated encoders must be able to construct it.)
+  /** A pattern's canonical code with an int tuple: an embedding's data
+    * vertices in canonical position order, or a support triple's
+    * (orbit, vertex). Equality and hash are by value, so a hash set
+    * deduplicates rows.
     */
-  final case class Emb(code: String, vs: Seq[Int])
+  private final class Row(val code: String, val vs: Array[Int]) extends Serializable {
+    override def hashCode: Int = 31 * code.hashCode + java.util.Arrays.hashCode(vs)
+    override def equals(o: Any): Boolean = o match {
+      case e: Row => java.util.Arrays.equals(vs, e.vs) && code == e.code
+      case _      => false
+    }
+  }
 
   /** All isomorphisms from `a` onto `b` (same n; maps position i of a to
     * position iso(i) of b) respecting edges and labels.
     */
-  def allIsomorphisms(a: Pattern, b: Pattern): Vector[Vector[Int]] =
+  private def allIsomorphisms(a: Pattern, b: Pattern): Vector[Vector[Int]] =
     (0 until a.n).toVector.permutations.filter { phi =>
       (0 until a.n).forall { i =>
         a.labels.get(i) == b.labels.get(phi(i)) &&
@@ -65,56 +87,62 @@ object Fsm {
     * order (and the lexicographic min over all isomorphisms is the unique
     * canonical embedding tuple, deduplicating automorphic rediscoveries).
     */
-  final case class Ext(code: String, isos: Vector[Vector[Int]]) {
-    def canonicalTuple(vs: Array[Int]): Seq[Int] = {
-      if (isos.length == 1) {
-        val phi = isos.head
-        val out = new Array[Int](phi.length)
+  private final case class Ext(code: String, isos: Vector[Array[Int]]) {
+    def canonicalTuple(vs: Array[Int]): Array[Int] = {
+      var best: Array[Int] = null
+      for (phi <- isos) {
+        val t = new Array[Int](phi.length)
         var i = 0
-        while (i < phi.length) { out(i) = vs(phi(i)); i += 1 }
-        return scala.collection.immutable.ArraySeq.unsafeWrapArray(out)
+        while (i < phi.length) { t(i) = vs(phi(i)); i += 1 }
+        if (best == null || java.util.Arrays.compare(t, best) < 0) best = t
       }
-      isos.iterator.map(phi => phi.map(vs): Seq[Int]).min(SeqIntOrdering)
+      best
     }
   }
 
-  private object SeqIntOrdering extends Ordering[Seq[Int]] {
-    def compare(x: Seq[Int], y: Seq[Int]): Int = {
-      var i = 0
-      while (i < x.length && i < y.length) {
-        val c = Integer.compare(x(i), y(i))
-        if (c != 0) return c
-        i += 1
-      }
-      Integer.compare(x.length, y.length)
-    }
+  private def extension(grown: Pattern): Ext = {
+    val code = grown.canonicalCode
+    Ext(code, allIsomorphisms(decodePattern(code), grown).map(_.toArray))
   }
 
-  /** Executor-side cache of pattern machinery, keyed by canonical code.
-    * `patterns` must map each code to its *canonical* pattern (the one
-    * `decodePattern` yields), because embedding tuples are stored in
-    * canonical position order.
+  /** Pattern machinery keyed by canonical code. One run broadcasts one
+    * cache, so the tasks on an executor share it across levels. Embedding
+    * tuples are in the position order of the pattern `decodePattern`
+    * yields for their code.
     */
-  private final class PatternCache(patterns: Map[String, Pattern]) extends Serializable {
-    @transient private lazy val extCache =
-      scala.collection.mutable.HashMap.empty[(String, Int, Int, Int), Ext]
+  private final class PatternCache extends Serializable {
+    @transient private lazy val nodes = new ConcurrentHashMap[String, PatternNode]
+    def apply(code: String): PatternNode = {
+      val node = nodes.get(code) // computeIfAbsent locks even on a hit
+      if (node != null) node else nodes.computeIfAbsent(code, new PatternNode(_))
+    }
+  }
 
-    def pattern(code: String): Pattern = patterns(code)
+  private final class PatternNode(code: String) {
+    val pattern: Pattern = decodePattern(code)
+    private val exts = new ConcurrentHashMap[Long, Ext]
 
-    /** Extension: add edge (i, j) to the canonical pattern of `code`;
-      * j == p.n means a new vertex with label `newLabel`.
+    /** Extension: add edge (i, j) to the pattern; j == n means a new
+      * vertex with label `newLabel`.
       */
-    def extend(code: String, i: Int, j: Int, newLabel: Int): Ext =
-      extCache.getOrElseUpdate((code, i, j, newLabel), {
-        val p = patterns(code)
-        val p2 =
-          if (j == p.n) {
-            val grown = p.withEdge(i, j)
-            Pattern(grown.n, grown.adj, Some(grown.labels.get.dropRight(1) :+ newLabel))
-          } else p.withEdge(i, j)
-        val code2 = p2.canonicalCode
-        Ext(code2, allIsomorphisms(decodePattern(code2), p2))
+    def extend(i: Int, j: Int, newLabel: Int): Ext = {
+      val key = ((i << 4 | j).toLong << 32) | (newLabel & 0xffffffffL) // hashes spread by label
+      val ext = exts.get(key)
+      if (ext != null) ext
+      else exts.computeIfAbsent(key, _ => {
+        val grown = pattern.withEdge(i, j)
+        extension(
+          if (j == pattern.n) Pattern(grown.n, grown.adj, Some(pattern.labels.get :+ newLabel)) else grown)
       })
+    }
+
+    /** Orbit index of each position under the pattern's automorphisms. */
+    lazy val orbits: Array[Int] = {
+      val auts = pattern.automorphisms
+      val orbitSets = (0 until pattern.n).map(i => auts.map(_(i)).toSet)
+      val distinctOrbits = orbitSets.distinct
+      orbitSets.map(distinctOrbits.indexOf).toArray
+    }
   }
 
   def singleEdgePattern(la: Int, lb: Int): Pattern = {
@@ -123,14 +151,11 @@ object Fsm {
   }
 
   def run(spark: SparkSession, g: CSRGraph, cfg: FsmConfig): FsmResult = {
-    import spark.implicits._
     require(g.labeled, "FSM requires a labeled graph")
+    val sc = spark.sparkContext
 
     // --- optimization N: label-frequency pruning ----------------------
-    val labelFreq: Map[Int, Long] = {
-      val df = CSRGraph.toLabelDf(spark, g)
-      df.groupBy("label").count().collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-    }
+    val labelFreq: Map[Int, Long] = g.labels.groupMapReduce(identity)(_ => 1L)(_ + _)
     val frequentLabels = labelFreq.filter(_._2 >= cfg.minSupport).keySet
     val mineGraph =
       if (!cfg.labelPruning) g
@@ -147,148 +172,223 @@ object Fsm {
         CSRGraph.fromEdges(keep.length, es.toIndexedSeq, keep.map(g.label))
       }
 
-    val bc = spark.sparkContext.broadcast(mineGraph)
-    var patterns = Map.empty[String, Pattern]
-    var frequent = Map.empty[String, Long]
-    var allSupports = Map.empty[String, Long]
-    var levelEmb = Vector.empty[Long]
-    var candPats = Vector.empty[Int]
-    var freqPats = Vector.empty[Int]
-    var extWork = 0L
+    // Partition count models the bounded-BFS blocks (optimization M); it
+    // never drops below the default parallelism, so every core gets a block.
+    def blocks(rows: Long): Int =
+      math.max(sc.defaultParallelism, math.min(256L, rows / cfg.blockRows + 1).toInt)
 
-    // --- level 1: single-edge patterns --------------------------------
-    val lvl1 = {
-      val gg = mineGraph
-      val embs = Vector.newBuilder[Emb]
-      val extCache = scala.collection.mutable.HashMap.empty[(Int, Int), Ext]
-      var u = 0
-      while (u < gg.n) {
-        var i = gg.nbrStart(u)
-        while (i < gg.nbrEnd(u)) {
-          val v = gg.nbrs(i)
-          if (u < v) {
-            val (la, lb) = (gg.label(u), gg.label(v))
-            val ext = extCache.getOrElseUpdate((la, lb), {
-              val grown = Patterns.fromEdges(2, Seq((0, 1)), Some(Vector(la, lb)))
-              val code = grown.canonicalCode
-              Ext(code, allIsomorphisms(decodePattern(code), grown))
-            })
-            if (!patterns.contains(ext.code)) patterns += ext.code -> decodePattern(ext.code)
-            embs += Emb(ext.code, ext.canonicalTuple(Array(u, v)))
+    val bc = sc.broadcast(mineGraph)
+    val patterns = sc.broadcast(new PatternCache)
+    // The persisted current level, and the next one while it is built:
+    // both are released if a task throws. A partition is one block, an
+    // array of embeddings: one cached object, which Spark sizes cheaply.
+    var cur: RDD[Array[Row]] = null
+    var next: RDD[Array[Row]] = null
+    try {
+      var frequent = Map.empty[String, Long]
+      var allSupports = Map.empty[String, Long]
+      var levelEmb = Vector.empty[Long]
+      var candPats = Vector.empty[Int]
+      var freqPats = Vector.empty[Int]
+      var extWork = 0L
+
+      // --- level 1: single-edge embeddings, distinct by construction ----
+      val lvl1 = singleEdgeEmbeddings(mineGraph)
+      extWork += mineGraph.numArcs.toLong
+      cur = sc.parallelize(lvl1, blocks(lvl1.size)).glom().persist()
+      var rows = lvl1.size.toLong
+      var freqCodes = Set.empty[String]
+
+      for (level <- 1 to cfg.maxEdges) {
+        // --- levels 2..maxEdges: edge extension + one dedupe shuffle ----
+        if (level > 1) {
+          val fc = freqCodes
+          val extended = cur.mapPartitions { it =>
+            val gg = bc.value
+            val cache = patterns.value
+            distinct(it.flatMap(_.iterator).filter(e => fc.contains(e.code)).flatMap(extensions(_, gg, cache)))
+              .iterator
           }
-          i += 1
+          val parts = blocks(rows * 8)
+          next = shuffle(extended, parts)(e => Math.floorMod(e.hashCode, parts))
+            .mapPartitions(it => Iterator(distinct(it)), preservesPartitioning = true)
+            .persist()
+          val nextRows = next.map(_.length.toLong).fold(0L)(_ + _)
+          cur.unpersist()
+          cur = next
+          next = null
+          extWork += estimateExtensionWork(rows, mineGraph)
+          rows = nextRows
         }
-        u += 1
+        levelEmb :+= rows
+
+        val sup = supports(cur, patterns)
+        freqCodes = sup.filter(_._2 >= cfg.minSupport).keySet
+        allSupports ++= sup
+        frequent ++= sup.filter(_._2 >= cfg.minSupport)
+        candPats :+= sup.size
+        freqPats :+= freqCodes.size
       }
-      extWork += gg.numArcs.toLong
-      embs.result()
-    }
 
-    def supports(embs: org.apache.spark.sql.Dataset[Emb]): Map[String, Long] = {
-      // MNI domain of position i is the union over the automorphism orbit
-      // of i of the values in those positions — so aggregate (code, orbit,
-      // vertex) triples instead of exploding per automorphism. Int keys
-      // keep the shuffle narrow.
-      val codeIds: Map[String, Int] = patterns.keys.toSeq.sorted.zipWithIndex.toMap
-      val idCodes: Map[Int, String] = codeIds.map(_.swap)
-      val orbitOf: Map[String, Array[Int]] = patterns.map { case (c, p) =>
-        val auts = p.automorphisms
-        val orbitSets = (0 until p.n).map(i => auts.map(_(i)).toSet)
-        val distinctOrbits = orbitSets.distinct
-        c -> (0 until p.n).map(i => distinctOrbits.indexOf(orbitSets(i))).toArray
+      FsmResult(
+        frequent,
+        allSupports,
+        FsmMetrics(levelEmb, extWork, candPats, freqPats, labelFreq.size, frequentLabels.size),
+      )
+    } finally {
+      Seq(cur, next).filter(_ != null).foreach(_.unpersist())
+      bc.destroy()
+      patterns.destroy()
+    }
+  }
+
+  private def singleEdgeEmbeddings(g: CSRGraph): Vector[Row] = {
+    val embs = Vector.newBuilder[Row]
+    val exts = mutable.HashMap.empty[(Int, Int), Ext]
+    var u = 0
+    while (u < g.n) {
+      var i = g.nbrStart(u)
+      while (i < g.nbrEnd(u)) {
+        val v = g.nbrs(i)
+        if (u < v) {
+          val (la, lb) = (g.label(u), g.label(v))
+          val ext = exts.getOrElseUpdate((la, lb),
+            extension(Patterns.fromEdges(2, Seq((0, 1)), Some(Vector(la, lb)))))
+          embs += new Row(ext.code, ext.canonicalTuple(Array(u, v)))
+        }
+        i += 1
       }
-      import spark.implicits._
-      val triples = embs.mapPartitions { it =>
-        it.flatMap { emb =>
-          val orb = orbitOf(emb.code)
-          val cid = codeIds(emb.code)
-          emb.vs.indices.iterator.map(i => (cid, orb(i), emb.vs(i)))
+      u += 1
+    }
+    embs.result()
+  }
+
+  /** Every one-edge extension of `emb`: an edge to a new vertex, or an
+    * edge closing two positions that are not yet adjacent in the pattern.
+    */
+  private def extensions(emb: Row, g: CSRGraph, cache: PatternCache): Iterator[Row] = {
+    val node = cache(emb.code)
+    val p = node.pattern
+    val vs = emb.vs
+    val out = mutable.ArrayBuffer.empty[Row]
+    var i = 0
+    while (i < p.n) {
+      val dv = vs(i)
+      var x = g.nbrStart(dv)
+      while (x < g.nbrEnd(dv)) {
+        val w = g.nbrs(x)
+        val j = vs.indexOf(w)
+        if (j < 0) {
+          val ext = node.extend(i, p.n, g.label(w))
+          out += new Row(ext.code, ext.canonicalTuple(vs :+ w))
+        } else if (i < j && !p.isEdge(i, j)) {
+          val ext = node.extend(i, j, -1)
+          out += new Row(ext.code, ext.canonicalTuple(vs))
         }
-      }.toDF("cid", "orbit", "v")
-      triples
-        .groupBy("cid", "orbit").agg(countDistinct("v").as("dom"))
-        .groupBy("cid").agg(min("dom").as("support"))
-        .collect().map(r => idCodes(r.getInt(0)) -> r.getLong(1)).toMap
+        x += 1
+      }
+      i += 1
+    }
+    out.iterator
+  }
+
+  /** MNI support of every pattern in `embs`. The domain of position i is
+    * the union, over the automorphism orbit of i, of the vertices in those
+    * positions, so the shuffle carries (pattern, orbit, vertex) triples,
+    * distinct within each map partition; the reduce side counts distinct
+    * vertices per (pattern, orbit) and the driver takes the minimum.
+    */
+  private def supports(embs: RDD[Array[Row]], patterns: Broadcast[PatternCache]): Map[String, Long] = {
+    val triples = embs.mapPartitions { it =>
+      val cache = patterns.value
+      val doms = new Domains
+      it.flatMap(_.iterator).foreach { e =>
+        val orbits = cache(e.code).orbits
+        var i = 0
+        while (i < e.vs.length) { doms.add(e.code, orbits(i), e.vs(i)); i += 1 }
+      }
+      doms.distinct
+    }
+    val parts = embs.getNumPartitions
+    shuffle(triples, parts)(t => Math.floorMod(31 * t.code.hashCode + t.vs(0), parts))
+      .mapPartitions { it =>
+        val doms = new Domains
+        it.foreach(t => doms.add(t.code, t.vs(0), t.vs(1)))
+        doms.sizes
+      }
+      .collect()
+      .groupMapReduce(_._1._1)(_._2)(math.min)
+  }
+
+  /** (pattern, orbit) -> vertex pairs, packed as (key id, vertex) longs so
+    * that deduplication is a primitive sort rather than a set of objects.
+    */
+  private final class Domains {
+    private val idsByCode = mutable.HashMap.empty[String, Array[Int]] // by orbit, -1 = none yet
+    private val keys = mutable.ArrayBuffer.empty[(String, Int)]
+    private var buf = new Array[Long](1024)
+    private var len = 0
+
+    def add(code: String, orbit: Int, v: Int): Unit = {
+      val ids = idsByCode.getOrElseUpdate(code, Array.fill(8)(-1)) // a pattern has at most 8 orbits
+      if (ids(orbit) < 0) { ids(orbit) = keys.length; keys += ((code, orbit)) }
+      if (len == buf.length) buf = java.util.Arrays.copyOf(buf, 2 * len)
+      buf(len) = (ids(orbit).toLong << 32) | v
+      len += 1
     }
 
-    // Partition count models the bounded-BFS blocks (optimization M).
-    def blocks(rows: Long): Int = math.max(1, math.min(256, (rows / math.max(1, cfg.blockRows)).toInt + 1))
-
-    var cur: org.apache.spark.sql.Dataset[Emb] = spark.createDataset(lvl1)
-      .repartition(blocks(lvl1.size))
-      .persist()
-    var curRows = cur.count()
-    levelEmb = levelEmb :+ curRows
-    candPats = candPats :+ patterns.size
-
-    var lvl1Sup = supports(cur)
-    var freqCodes = lvl1Sup.filter(_._2 >= cfg.minSupport).keySet
-    allSupports ++= lvl1Sup
-    frequent ++= lvl1Sup.filter { case (c, s) => s >= cfg.minSupport }
-    freqPats = freqPats :+ freqCodes.size
-
-    // --- levels 2..maxEdges: edge extension ---------------------------
-    for (level <- 2 to cfg.maxEdges) {
-      val fc = freqCodes
-      val prev = cur.filter(e => fc.contains(e.code))
-      val cache = new PatternCache(patterns)
-      val extended = prev.mapPartitions { it =>
-        val out = it.flatMap { emb =>
-          val gg = bc.value
-          val p = cache.pattern(emb.code)
-          val vsArr = emb.vs.toArray
-          val exts = Vector.newBuilder[Emb]
-          var i = 0
-          while (i < p.n) {
-            val dv = vsArr(i)
-            var x = gg.nbrStart(dv)
-            while (x < gg.nbrEnd(dv)) {
-              val w = gg.nbrs(x)
-              val j = vsArr.indexOf(w)
-              if (j < 0) {
-                val ext = cache.extend(emb.code, i, p.n, gg.label(w))
-                exts += Emb(ext.code, ext.canonicalTuple(vsArr :+ w))
-              } else if (j != i && i < j && !p.isEdge(i, j)) {
-                val ext = cache.extend(emb.code, i, j, -1)
-                exts += Emb(ext.code, ext.canonicalTuple(vsArr))
-              }
-              x += 1
-            }
-            i += 1
-          }
-          exts.result()
-        }
-        out
-      }.distinct()
-
-      // register new patterns discovered at this level (codes are produced
-      // executor-side; rebuild their Pattern objects on the driver)
-      val newCodes = extended.select("code").distinct().as[String].collect()
-      val known = patterns.keySet
-      val fresh = newCodes.filterNot(known.contains)
-      fresh.foreach { code => patterns += code -> decodePattern(code) }
-
-      cur.unpersist()
-      cur = extended.repartition(blocks(math.max(1, curRows * 8))).persist()
-      curRows = cur.count()
-      extWork += estimateExtensionWork(levelEmb.last, mineGraph)
-      levelEmb = levelEmb :+ curRows
-      candPats = candPats :+ newCodes.length
-
-      val sup = supports(cur)
-      freqCodes = sup.filter(_._2 >= cfg.minSupport).keySet
-      allSupports ++= sup
-      frequent ++= sup.filter { case (_, s) => s >= cfg.minSupport }
-      freqPats = freqPats :+ freqCodes.size
+    /** Distinct packed pairs, sorted. */
+    private def sorted(): Iterator[Long] = {
+      java.util.Arrays.sort(buf, 0, len)
+      Iterator.range(0, len).filter(i => i == 0 || buf(i) != buf(i - 1)).map(buf(_))
     }
-    cur.unpersist()
-    bc.destroy()
 
-    FsmResult(
-      frequent,
-      allSupports,
-      FsmMetrics(levelEmb, extWork, candPats, freqPats, labelFreq.size, frequentLabels.size),
-    )
+    /** Distinct pairs as rows (code, [orbit, vertex]). */
+    def distinct: Iterator[Row] =
+      sorted().map { x => val (code, orbit) = keys((x >>> 32).toInt); new Row(code, Array(orbit, x.toInt)) }
+
+    /** Distinct vertices per key. */
+    def sizes: Iterator[((String, Int), Long)] = {
+      val n = new Array[Long](keys.length)
+      sorted().foreach(x => n((x >>> 32).toInt) += 1)
+      keys.iterator.zip(n.iterator)
+    }
+  }
+
+  /** Moves each row to partition `dest(row)` of `parts`. A map task sends
+    * one columnar block per destination, which Java serialization writes
+    * as a few bulk arrays instead of one object per row.
+    */
+  private def shuffle(rows: RDD[Row], parts: Int)(dest: Row => Int): RDD[Row] =
+    rows.mapPartitions { it =>
+      val out = Array.fill(parts)(new ColumnsBuilder)
+      it.foreach(r => out(dest(r)).add(r))
+      Iterator.range(0, parts).filter(out(_).nonEmpty).map(p => (p, out(p).result()))
+    }.partitionBy(new HashPartitioner(parts))
+      .mapPartitions(_.flatMap(_._2.rows), preservesPartitioning = true)
+
+  /** Rows in columns: row i is (codes(i), ints(ends(i - 1) until ends(i))). */
+  private final class Columns(codes: Array[String], ends: Array[Int], ints: Array[Int]) extends Serializable {
+    def rows: Iterator[Row] = Iterator.range(0, codes.length).map { i =>
+      new Row(codes(i), java.util.Arrays.copyOfRange(ints, if (i == 0) 0 else ends(i - 1), ends(i)))
+    }
+  }
+
+  private final class ColumnsBuilder {
+    private val codes = mutable.ArrayBuilder.make[String]
+    private val ends = mutable.ArrayBuilder.make[Int]
+    private val ints = mutable.ArrayBuilder.make[Int]
+    private var n = 0
+
+    def nonEmpty: Boolean = codes.length > 0
+    def add(r: Row): Unit = { codes += r.code; ints.addAll(r.vs); n += r.vs.length; ends += n }
+    def result(): Columns = new Columns(codes.result(), ends.result(), ints.result())
+  }
+
+  private def distinct[T: ClassTag](it: Iterator[T]): Array[T] = {
+    val seen = new java.util.HashSet[T]
+    it.foreach(seen.add)
+    seen.asScala.toArray
   }
 
   /** Extension work is one neighbor scan per (embedding, position): the

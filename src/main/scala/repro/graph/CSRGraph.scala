@@ -174,12 +174,4 @@ object CSRGraph {
     val schema = StructType(Seq(StructField("src", IntegerType, false), StructField("dst", IntegerType, false)))
     spark.createDataFrame(spark.sparkContext.parallelize(rows.toIndexedSeq, 8), schema)
   }
-
-  /** Vertex-label DataFrame for labeled graphs. */
-  def toLabelDf(spark: SparkSession, g: CSRGraph): DataFrame = {
-    import org.apache.spark.sql.types._
-    val rows = (0 until g.n).map(v => Row(v, g.label(v)))
-    val schema = StructType(Seq(StructField("v", IntegerType, false), StructField("label", IntegerType, false)))
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, 8), schema)
-  }
 }

@@ -105,23 +105,24 @@ object MotifFormulas {
     import spark.implicits._
     val bc = spark.sparkContext.broadcast(g)
     val par = math.max(1, spark.sparkContext.defaultParallelism)
-    val wedgeEnds = spark.range(0, g.n, 1, par).as[Long].mapPartitions { it =>
-      val gg = bc.value
-      it.flatMap { zl =>
-        val z = zl.toInt
-        val s = gg.nbrStart(z); val e = gg.nbrEnd(z)
-        for {
-          i <- Iterator.range(s, e)
-          j <- Iterator.range(i + 1, e)
-        } yield (gg.nbrs(i).toLong << 32) | gg.nbrs(j).toLong
+    val sum = try {
+      val wedgeEnds = spark.range(0, g.n, 1, par).as[Long].mapPartitions { it =>
+        val gg = bc.value
+        it.flatMap { zl =>
+          val z = zl.toInt
+          val s = gg.nbrStart(z); val e = gg.nbrEnd(z)
+          for {
+            i <- Iterator.range(s, e)
+            j <- Iterator.range(i + 1, e)
+          } yield (gg.nbrs(i).toLong << 32) | gg.nbrs(j).toLong
+        }
       }
-    }
-    val agg = wedgeEnds.toDF("pair").groupBy("pair").count()
-      .selectExpr("sum((count * (count - 1)) div 2) as s")
-      .collect()(0)
-    val sum = if (agg.isNullAt(0)) 0L else agg.getLong(0)
+      val agg = wedgeEnds.toDF("pair").groupBy("pair").count()
+        .selectExpr("sum((count * (count - 1)) div 2) as s")
+        .collect()(0)
+      if (agg.isNullAt(0)) 0L else agg.getLong(0)
+    } finally bc.destroy()
     val totalWedges = (0 until g.n).map(v => g.deg(v).toLong * (g.deg(v) - 1) / 2).sum
-    bc.destroy()
     (sum / 2, totalWedges)
   }
 

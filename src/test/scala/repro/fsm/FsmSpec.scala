@@ -1,7 +1,7 @@
 package repro.fsm
 
 import repro.{SparkSpec, TestGraphs}
-import repro.graph.CSRGraph
+import repro.graph.{CSRGraph, DataGraphs}
 import repro.pattern.{Pattern, Patterns}
 
 /** Brute-force FSM reference: enumerate every connected edge subset up to
@@ -9,16 +9,25 @@ import repro.pattern.{Pattern, Patterns}
   * isomorphisms. Only viable on tiny graphs — which is the point.
   */
 object FsmRef {
-  def run(g: CSRGraph, maxEdges: Int, sigma: Long): Map[String, Long] = {
+
+  /** @param supports MNI support of every pattern with an embedding
+    * @param subsets  number of distinct connected edge subsets of each
+    *                 size 1..maxEdges
+    */
+  final case class Mined(supports: Map[String, Long], subsets: Vector[Long])
+
+  def run(g: CSRGraph, maxEdges: Int, sigma: Long): Map[String, Long] =
+    mine(g, maxEdges).supports.filter(_._2 >= sigma)
+
+  def mine(g: CSRGraph, maxEdges: Int): Mined = {
     val edges = g.canonicalEdges.map(e => ((e >>> 32).toInt, (e & 0xffffffffL).toInt))
     val domains = scala.collection.mutable.HashMap.empty[String, Array[scala.collection.mutable.Set[Int]]]
+    val subsets = Array.fill(maxEdges)(0L)
 
-    def subsets(k: Int): Iterator[Seq[(Int, Int)]] =
-      edges.toSeq.combinations(k)
-
-    for (k <- 1 to maxEdges; es <- subsets(k)) {
+    for (k <- 1 to maxEdges; es <- edges.toSeq.combinations(k)) {
       val verts = es.flatMap(e => Seq(e._1, e._2)).distinct.sorted
       if (verts.length <= 4 && connected(es, verts)) {
+        subsets(k - 1) += 1
         val vIdx = verts.zipWithIndex.toMap
         val local = Patterns.fromEdges(verts.length, es.map(e => (vIdx(e._1), vIdx(e._2))),
           Some(verts.map(g.label).toVector))
@@ -36,8 +45,7 @@ object FsmRef {
         }
       }
     }
-    domains.map { case (code, dom) => code -> dom.map(_.size.toLong).min }
-      .filter(_._2 >= sigma).toMap
+    Mined(domains.map { case (code, dom) => code -> dom.map(_.size.toLong).min }.toMap, subsets.toVector)
   }
 
   private def connected(es: Seq[(Int, Int)], verts: Seq[Int]): Boolean = {
@@ -133,6 +141,33 @@ class FsmSpec extends SparkSpec {
     assert(m.numFrequentLabels <= m.numLabels)
     assert(m.extensionWork > 0)
   }
+
+  // blockRows = 64 spreads each level of Mi's tiny analog over many
+  // partitions (up to 256), so copies of one embedding found on different
+  // partitions must meet in the dedupe shuffle.
+  private lazy val miTiny = DataGraphs.tiny(DataGraphs.mi)
+  private lazy val miTinyRef = FsmRef.mine(miTiny, maxEdges = 3)
+
+  for (sigma <- Seq(1L, 3L); blockRows <- Seq(64L, 1L << 16))
+    test(s"FSM == brute force across partitions on Mi's tiny analog (sigma=$sigma, blockRows=$blockRows)") {
+      val got = Fsm.run(spark, miTiny, Fsm.FsmConfig(minSupport = sigma, blockRows = blockRows))
+      assert(got.frequent == miTinyRef.supports.filter(_._2 >= sigma))
+      for ((c, s) <- got.allSupports) assert(miTinyRef.supports(c) == s, c)
+      if (sigma == 1) {
+        assert(got.allSupports == miTinyRef.supports)
+        // every connected edge subset is one canonical embedding
+        assert(got.metrics.levelEmbeddings == miTinyRef.subsets)
+      }
+    }
+
+  for ((field, cfg) <- Seq[(String, () => Fsm.FsmConfig)](
+         "minSupport" -> (() => Fsm.FsmConfig(minSupport = 0)),
+         "maxEdges" -> (() => Fsm.FsmConfig(minSupport = 1, maxEdges = 0)),
+         "blockRows" -> (() => Fsm.FsmConfig(minSupport = 1, blockRows = 0))))
+    test(s"FsmConfig rejects $field below 1") {
+      val e = intercept[IllegalArgumentException](cfg())
+      assert(e.getMessage.contains(field))
+    }
 
   test("FSM on a labeled DataGraphs tiny analog completes") {
     val g = repro.graph.DataGraphs.tiny(repro.graph.DataGraphs.mi)
