@@ -55,25 +55,14 @@ object Tables {
   val tinyLoader: Loader = DataGraphs.tiny
 
   // Table runs are deterministic in (table, loader): memoize so suites that
-  // cross-reference tables (e.g. Table 9 vs Table 6) pay once.
-  private val tableCache =
-    scala.collection.concurrent.TrieMap.empty[(String, Int), TableResult]
+  // cross-reference tables (e.g. Table 9 vs Table 6) pay once. Loaders are
+  // functions, so the key compares them by reference.
+  private val tableCache = scala.collection.concurrent.TrieMap.empty[(String, Loader), TableResult]
   private def cached(name: String, load: Loader)(body: => TableResult): TableResult =
-    tableCache.getOrElseUpdate((name, System.identityHashCode(load)), body)
+    tableCache.getOrElseUpdate((name, load), body)
 
-  /** Metrics for one single-pattern workload under every system. */
-  final case class SystemSims(
-      count: Long,
-      g2: Sim, pangolin: Sim, pbe: Sim, peregrine: Sim, graphZero: Sim,
-  ) {
-    def apply(system: String): Sim = system match {
-      case "G2Miner" => g2
-      case "Pangolin" => pangolin
-      case "PBE" => pbe
-      case "Peregrine" => peregrine
-      case "GraphZero" => graphZero
-    }
-  }
+  /** One mined column: the exact count plus each system's simulated time. */
+  final case class SystemSims(count: Long, sims: Map[String, Sim])
 
   /** Run a single explicit-pattern workload and derive all five systems'
     * simulated times from the engine configurations of [[engineConfigs]].
@@ -113,72 +102,76 @@ object Tables {
     // Pangolin's OoM verdict is evaluated at paper scale: paper graph stats
     // plus our measured per-edge intermediate rates (see OomModel).
     val pangolinPeak = OomModel.pangolinBytes(spec.paper, oriented, mG2.levelNodes, g.numEdges).toLong
-    val g2 = simulate(Workload(mG2.setOpWork, 0, 0), G2MinerGpu)
-    // Pangolin: BFS over the same (orientation-enabled) tree; candidate
-    // generation scans whole neighbor lists plus per-candidate checks.
-    val pangolin = simulate(
-      Workload((pangScanWork * PangolinIsoFactor).toLong, rowsOrient, pangolinPeak), PangolinGpu)
-    // PBE: BFS with reuse, no orientation; partitioning trades OoM for
-    // cross-partition communication.
-    val pbe = simulate(
-      Workload(mBase.setOpWork + PbeCommWorkPerRow * rowsBase, rowsBase, 0, commRows = rowsBase), PbeGpu)
-    // Peregrine runs the same plan (incl. buffering); its gap to GraphZero
-    // is generic-engine overhead, captured by the efficiency profile.
-    val peregrine = simulate(Workload(mBase.setOpWork, 0, 0), PeregrineCpu)
-    val graphZero = simulate(Workload(mBase.setOpWork, 0, 0), GraphZeroCpu)
-    SystemSims(mG2.count, g2, pangolin, pbe, peregrine, graphZero)
+    SystemSims(mG2.count, Map(
+      "G2Miner" -> simulate(Workload(mG2.setOpWork, 0, 0), G2MinerGpu),
+      // Pangolin: BFS over the same (orientation-enabled) tree; candidate
+      // generation scans whole neighbor lists plus per-candidate checks.
+      "Pangolin" -> simulate(
+        Workload((pangScanWork * PangolinIsoFactor).toLong, rowsOrient, pangolinPeak), PangolinGpu),
+      // PBE: BFS with reuse, no orientation; partitioning trades OoM for
+      // cross-partition communication.
+      "PBE" -> simulate(
+        Workload(mBase.setOpWork + PbeCommWorkPerRow * rowsBase, rowsBase, 0, commRows = rowsBase), PbeGpu),
+      // Peregrine runs the same plan (incl. buffering); its gap to GraphZero
+      // is generic-engine overhead, captured by the efficiency profile.
+      "Peregrine" -> simulate(Workload(mBase.setOpWork, 0, 0), PeregrineCpu),
+      "GraphZero" -> simulate(Workload(mBase.setOpWork, 0, 0), GraphZeroCpu),
+    ))
   }
 
   // ------------------------------------------------------------------
-  // Tables 4–7: one column per (graph, workload); every system's cell
-  // comes from the column's SystemSims
+  // The table driver: a table is a list of (graph, mine) entries; each
+  // mine returns one or more named columns, and every system's cell comes
+  // from its column's SystemSims
   // ------------------------------------------------------------------
-  private type Mine = (SparkSession, DataGraphs.Spec, CSRGraph) => SystemSims
+  private type Mine = (SparkSession, DataGraphs.Spec, CSRGraph) => Seq[(String, SystemSims)]
+  private type OneColumn = (SparkSession, DataGraphs.Spec, CSRGraph) => SystemSims
 
-  private final case class Column(name: String, spec: DataGraphs.Spec, mine: Mine)
-
-  private def columns(prefix: String, specs: Seq[DataGraphs.Spec], mine: Mine): Seq[Column] =
-    specs.map(s => Column(prefix + s.name, s, mine))
+  /** One column per graph, named `prefix` + the graph's name. */
+  private def perGraph(prefix: String, specs: Seq[DataGraphs.Spec])(mine: OneColumn): Seq[(DataGraphs.Spec, Mine)] = {
+    val named: Mine = (spark, spec, g) => Seq(prefix + spec.name -> mine(spark, spec, g))
+    specs.map(_ -> named)
+  }
 
   private def systemTable(name: String, title: String, systems: Seq[String], paper: PaperNumbers.Table,
-                          cols: Seq[Column])(spark: SparkSession, load: Loader): TableResult =
+                          entries: Seq[(DataGraphs.Spec, Mine)])(spark: SparkSession, load: Loader): TableResult =
     cached(name, load) {
-      val results = cols.map(c => c.name -> c.mine(spark, c.spec, load(c.spec)))
-      val sims = for ((col, r) <- results; sys <- systems) yield (sys, col) -> r(sys)
-      val counts = results.map { case (col, r) => col -> r.count }
-      TableResult(title, cols.map(_.name), systems, sims.toMap, counts.toMap, paper)
+      val cols = entries.flatMap { case (spec, mine) => mine(spark, spec, load(spec)) }
+      val sims = for ((col, r) <- cols; sys <- systems) yield (sys, col) -> r.sims(sys)
+      val counts = cols.map { case (col, r) => col -> r.count }
+      TableResult(title, cols.map(_._1), systems, sims.toMap, counts.toMap, paper)
     }
 
   private val allSystems = Seq("G2Miner", "Pangolin", "PBE", "Peregrine", "GraphZero")
   private val fiveGraphs = Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.tw2, DataGraphs.tw4, DataGraphs.fr)
   private val threeGraphs = Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.fr)
 
-  private def listing(p: Pattern): Mine = singlePattern(_, _, _, p, induced = false)
+  private def listing(p: Pattern): OneColumn = singlePattern(_, _, _, p, induced = false)
 
   /** Table 4: triangle counting. */
   def table4(spark: SparkSession, load: Loader): TableResult =
     systemTable("table4", "Table 4: TC running time (sim-sec)", allSystems, PaperNumbers.table4,
-      columns("", fiveGraphs :+ DataGraphs.uk, listing(Patterns.triangle)))(spark, load)
+      perGraph("", fiveGraphs :+ DataGraphs.uk)(listing(Patterns.triangle)))(spark, load)
 
   /** Table 5: k-clique listing. */
   def table5(spark: SparkSession, load: Loader): TableResult =
     systemTable("table5", "Table 5: k-CL running time (sim-sec)", allSystems, PaperNumbers.table5,
-      columns("4CL/", fiveGraphs, listing(Patterns.clique(4))) ++
-        columns("5CL/", threeGraphs, listing(Patterns.clique(5))))(spark, load)
+      perGraph("4CL/", fiveGraphs)(listing(Patterns.clique(4))) ++
+        perGraph("5CL/", threeGraphs)(listing(Patterns.clique(5))))(spark, load)
 
   /** Table 6: subgraph listing (edge-induced diamond, 4-cycle). */
   def table6(spark: SparkSession, load: Loader): TableResult =
     systemTable("table6", "Table 6: SL running time (sim-sec)", allSystems.filterNot(_ == "Pangolin"),
       PaperNumbers.table6,
-      columns("dia/", fiveGraphs, listing(Patterns.diamond)) ++
-        columns("c4/", threeGraphs, listing(Patterns.cycle4)))(spark, load)
+      perGraph("dia/", fiveGraphs)(listing(Patterns.diamond)) ++
+        perGraph("c4/", threeGraphs)(listing(Patterns.cycle4)))(spark, load)
 
   /** Table 7: k-motif counting (vertex-induced, multi-pattern). */
   def table7(spark: SparkSession, load: Loader): TableResult =
     systemTable("table7", "Table 7: k-MC running time (sim-sec)", allSystems.filterNot(_ == "PBE"),
       PaperNumbers.table7,
-      columns("3MC/", fiveGraphs, motifWorkload(_, _, _, 3)) ++
-        columns("4MC/", threeGraphs, motifWorkload(_, _, _, 4)))(spark, load)
+      perGraph("3MC/", fiveGraphs)(motifWorkload(_, _, _, 3)) ++
+        perGraph("4MC/", threeGraphs)(motifWorkload(_, _, _, 4)))(spark, load)
 
   /** Multi-pattern workload: per-motif plans summed; G²Miner additionally
     * shares the common triangle prefix across the triangle-rooted 4-motifs
@@ -216,81 +209,69 @@ object Tables {
     math.max(4L, math.round(paperSigma * ours / spec.paper.v))
   }
 
-  def table8(spark: SparkSession, load: Loader): TableResult = cached("table8", load) {
-    val systems = Seq("G2Miner", "Pangolin", "Peregrine", "DistGraph")
-    val sigmas = Seq(300, 500, 1000, 5000)
-    var sims = Map.empty[(String, String), Sim]
-    var counts = Map.empty[String, Long]
-    for (spec <- Seq(DataGraphs.mi, DataGraphs.pa, DataGraphs.yo)) {
-      val g = load(spec)
-      // Mine once at the loosest threshold; by MNI anti-monotonicity every
-      // tighter column is a support filter over the same exact result.
-      val scaled = sigmas.map(sig => sig -> scaledSigma(spec, sig, load)).toMap
-      val res = Fsm.run(spark, g, Fsm.FsmConfig(minSupport = scaled.values.min))
-      val m = res.metrics
-      val embRows = m.levelEmbeddings.sum
-      val baseWork = m.extensionWork + embRows * FsmSupportWorkPerEmbedding
-      // Paper-scale footprint: level-2 extension candidates dominate and
-      // are σ-independent (OomModel.fsmBytes).
-      val fullPeak = OomModel.fsmBytes(spec.paper, replication = 1.0).toLong
-      for (sig <- sigmas) {
-        val colName = s"${spec.name}/$sig"
-        val freq = res.allSupports.filter(_._2 >= scaled(sig))
-        counts += colName -> freq.size.toLong
-        // tighter σ prunes the pattern space and with it part of the work
-        val workFrac = math.max(FsmMinWorkFrac,
-          (freq.size + 1).toDouble / (res.allSupports.size + 1))
-        val work = (baseWork * workFrac).toLong
+  /** One labelled graph's four σ columns. The graph is mined once at the
+    * loosest threshold; by MNI anti-monotonicity every tighter column is a
+    * support filter over the same exact result.
+    */
+  private def fsmColumns(spark: SparkSession, spec: DataGraphs.Spec, g: CSRGraph): Seq[(String, SystemSims)] = {
+    val scaled = Seq(300, 500, 1000, 5000).map(sig => sig -> scaledSigma(spec, sig, _ => g))
+    val res = Fsm.run(spark, g, Fsm.FsmConfig(minSupport = scaled.map(_._2).min))
+    val m = res.metrics
+    val embRows = m.levelEmbeddings.sum
+    val baseWork = m.extensionWork + embRows * FsmSupportWorkPerEmbedding
+    // Paper-scale footprint: level-2 extension candidates dominate and
+    // are σ-independent (OomModel.fsmBytes).
+    val fullPeak = OomModel.fsmBytes(spec.paper, replication = 1.0).toLong
+    val distRows = embRows * DistGraphRowFactor
+    scaled.map { case (sig, minSupport) =>
+      val freq = res.allSupports.count(_._2 >= minSupport)
+      // tighter σ prunes the pattern space and with it part of the work
+      val work = (baseWork * math.max(FsmMinWorkFrac, (freq + 1).toDouble / (res.allSupports.size + 1))).toLong
+      s"${spec.name}/$sig" -> SystemSims(freq.toLong, Map(
         // G²Miner: bounded BFS (opt M, peak = one block) + label pruning (opt N)
-        sims += ("G2Miner", colName) -> simulate(
-          Workload(work, embRows, 0), G2MinerGpu.copy(materializes = true))
+        "G2Miner" -> simulate(Workload(work, embRows, 0), G2MinerGpu.copy(materializes = true)),
         // Pangolin: full subgraph lists, no bounded blocks
-        sims += ("Pangolin", colName) -> simulate(
-          Workload(work, embRows, fullPeak), PangolinGpu)
+        "Pangolin" -> simulate(Workload(work, embRows, fullPeak), PangolinGpu),
         // Peregrine: pattern-at-a-time on CPU
-        sims += ("Peregrine", colName) -> simulate(
-          Workload((work * PeregrineFsmPatternFactor).toLong, 0, 0), PeregrineCpu)
+        "Peregrine" -> simulate(Workload((work * PeregrineFsmPatternFactor).toLong, 0, 0), PeregrineCpu),
         // DistGraph: distributed CPU; replicated embeddings (×6) + partition
         // comm + fixed startup
-        val distRows = embRows * DistGraphRowFactor
-        sims += ("DistGraph", colName) -> simulate(
+        "DistGraph" -> simulate(
           Workload(work, distRows, OomModel.fsmBytes(spec.paper, replication = 6.0).toLong, commRows = distRows),
-          DistGraphCpu.copy(fixedOverheadSec = distGraphStartupSec(g.n)))
-      }
+          DistGraphCpu.copy(fixedOverheadSec = distGraphStartupSec(g.n))),
+      ))
     }
-    TableResult("Table 8: 3-FSM running time (sim-sec)", PaperNumbers.fsmCols, systems, sims, counts, PaperNumbers.table8)
   }
+
+  def table8(spark: SparkSession, load: Loader): TableResult =
+    systemTable("table8", "Table 8: 3-FSM running time (sim-sec)", Seq("G2Miner", "Pangolin", "Peregrine", "DistGraph"),
+      PaperNumbers.table8, Seq(DataGraphs.mi, DataGraphs.pa, DataGraphs.yo).map(_ -> (fsmColumns _)))(spark, load)
 
   // ------------------------------------------------------------------
   // Table 9: counting-only pruning (G²Miner vs Peregrine, both enabled)
   // ------------------------------------------------------------------
-  def table9(spark: SparkSession, load: Loader): TableResult = cached("table9", load) {
-    val systems = Seq("G2Miner", "Peregrine")
-    var sims = Map.empty[(String, String), Sim]
-    var counts = Map.empty[String, Long]
-    // diamond: fused C(n,2) counting (Algorithm 3)
-    for (s <- fiveGraphs) {
-      val colName = s"dia/${s.name}"
-      val g = load(s)
-      val plan = Planner.plan(Patterns.diamond, induced = false, countingOnly = true)
-      require(plan.fusedCount, "diamond plan must fuse under counting-only")
-      val m = DfsEngine.run(spark, g, plan, DfsConfig(countingOnly = true))
-      counts += colName -> m.count
-      sims += ("G2Miner", colName) -> simulate(Workload(m.setOpWork, 0, 0), G2MinerGpu)
-      sims += ("Peregrine", colName) -> simulate(
-        Workload(m.setOpWork + m.bufferSavedWork, 0, 0), PeregrineCpu)
-    }
-    // 3-motif / 4-motif: formula-based counting (pattern decomposition)
-    for ((s, k) <- fiveGraphs.map((_, 3)) ++ threeGraphs.map((_, 4))) {
-      val colName = s"${k}MC/${s.name}"
-      val g = load(s)
-      val fr = if (k == 3) MotifFormulas.threeMotifs(g) else MotifFormulas.fourMotifs(spark, g)
-      counts += colName -> fr.induced.map(_._2).sum
-      sims += ("G2Miner", colName) -> simulate(Workload(fr.work, 0, 0), G2MinerGpu)
-      sims += ("Peregrine", colName) -> simulate(Workload(fr.work, 0, 0), PeregrineCpu)
-    }
-    TableResult("Table 9: counting-only pruning (sim-sec)", PaperNumbers.t9Cols, systems, sims, counts, PaperNumbers.table9)
+  /** Diamond by fused C(n,2) counting (Algorithm 3). */
+  private def fusedDiamond(spark: SparkSession, spec: DataGraphs.Spec, g: CSRGraph): SystemSims = {
+    val plan = Planner.plan(Patterns.diamond, induced = false, countingOnly = true)
+    require(plan.fusedCount, "diamond plan must fuse under counting-only")
+    val m = DfsEngine.run(spark, g, plan, DfsConfig(countingOnly = true))
+    SystemSims(m.count, Map(
+      "G2Miner" -> simulate(Workload(m.setOpWork, 0, 0), G2MinerGpu),
+      "Peregrine" -> simulate(Workload(m.setOpWork + m.bufferSavedWork, 0, 0), PeregrineCpu)))
   }
+
+  /** k-motifs by formula-based counting (pattern decomposition). */
+  private def motifFormulas(k: Int): OneColumn = (spark, _, g) => {
+    val fr = if (k == 3) MotifFormulas.threeMotifs(g) else MotifFormulas.fourMotifs(spark, g)
+    SystemSims(fr.induced.map(_._2).sum, Map(
+      "G2Miner" -> simulate(Workload(fr.work, 0, 0), G2MinerGpu),
+      "Peregrine" -> simulate(Workload(fr.work, 0, 0), PeregrineCpu)))
+  }
+
+  def table9(spark: SparkSession, load: Loader): TableResult =
+    systemTable("table9", "Table 9: counting-only pruning (sim-sec)", Seq("G2Miner", "Peregrine"), PaperNumbers.table9,
+      perGraph("dia/", fiveGraphs)(fusedDiamond) ++ perGraph("3MC/", fiveGraphs)(motifFormulas(3)) ++
+        perGraph("4MC/", threeGraphs)(motifFormulas(4)))(spark, load)
 
   // ------------------------------------------------------------------
   // Multi-GPU scalability (Fig. 9/10 headline claim, emitted as a table)
@@ -304,25 +285,16 @@ object Tables {
       DfsEngine.perTaskWork(g, Planner.plan(p, induced = true), DfsConfig(orientation = false))
     }.reduce { (a, b) => a.zip(b).map { case (x, y) => x + y } }
     val thr = G2MinerGpu.device.elemOpsPerSec * G2MinerGpu.efficiency
-    val rows = Vector.newBuilder[ScalingRow]
-    for (n <- 1 to 8; policy <- Seq[Scheduler.Policy](
-           Scheduler.EvenSplit,
-           Scheduler.ChunkedRoundRobin(Scheduler.paperChunkSize(work.length, WarpsPerDevice)))) {
-      val out = Scheduler.simulate(work, n, policy, thr)
-      rows += ScalingRow(if (policy == Scheduler.EvenSplit) "even-split" else "chunked-rr",
-        n, out.makespanSeconds, 0.0)
-    }
-    val rs = rows.result()
-    val base = rs.filter(_.n == 1).map(r => r.policy -> r.makespan).toMap
-    val withSpeedup = rs.map(r => r.copy(speedup = base(r.policy) / r.makespan))
-    val sb = new StringBuilder
-    sb.append("== Multi-GPU scaling: 3-MC on Tw2 (speedup vs 1 GPU) ==\n")
-    sb.append("n        even-split   chunked-rr\n")
-    for (n <- 1 to 8) {
-      val e = withSpeedup.find(r => r.n == n && r.policy == "even-split").get
-      val c = withSpeedup.find(r => r.n == n && r.policy == "chunked-rr").get
-      sb.append(f"$n%-8d ${e.speedup}%10.2fx ${c.speedup}%10.2fx\n")
-    }
-    (withSpeedup, sb.result())
+    def makespan(n: Int, policy: Scheduler.Policy) = Scheduler.simulate(work, n, policy, thr).makespanSeconds
+    val policies = Seq[(String, Scheduler.Policy)](
+      "even-split" -> Scheduler.EvenSplit,
+      "chunked-rr" -> Scheduler.ChunkedRoundRobin(Scheduler.paperChunkSize(work.length, WarpsPerDevice)))
+    val oneDevice = policies.map { case (_, policy) => makespan(1, policy) }
+    val byN = (1 to 8).map(n => policies.zip(oneDevice).map { case ((name, policy), base) =>
+      val m = makespan(n, policy); ScalingRow(name, n, m, base / m)
+    })
+    val text = byN.map { case Seq(e, c) => f"${e.n}%-8d ${e.speedup}%10.2fx ${c.speedup}%10.2fx\n" }
+    (byN.flatten.toVector,
+      "== Multi-GPU scaling: 3-MC on Tw2 (speedup vs 1 GPU) ==\nn        even-split   chunked-rr\n" + text.mkString)
   }
 }

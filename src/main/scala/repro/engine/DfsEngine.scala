@@ -11,7 +11,10 @@ import repro.setops.{SetOps, WorkCounter}
   * @param orientation       DAG orientation for cliques (opt A)
   * @param edgelistReduction emit each symmetric edge once (opt J)
   * @param buffering         reuse intermediate sets across levels (opt K)
-  * @param countingOnly      fuse the two innermost loops into C(n,2) (opt D)
+  * @param countingOnly      counting-only run (opt D). The engine does not
+  *                          read it: fusing the two innermost loops into
+  *                          C(n,2) follows `SearchPlan.fusedCount`, which
+  *                          `Planner.plan(countingOnly = true)` sets
   * @param lgs               local graph search for hub patterns (opt E)
   * @param lgsMaxDegree      input-aware threshold: skip LGS if Δ too large
   * @param boundedMerges     early-exit merges at upper symmetry bounds
@@ -55,6 +58,11 @@ final case class Metrics(
   * This is the analog of a generated CUDA kernel: the nested DFS loops,
   * set primitives, symmetry bounds and buffer reuse of §5/§6, driven by a
   * [[SearchPlan]] instead of generated source.
+  *
+  * Memory per instance, beyond the shared graph, is `(k + 1) × max(1,
+  * maxDegree)` ints: one candidate buffer per pattern position plus the
+  * identity view LGS tasks scan. An LGS task also holds its root's local
+  * graph until the next task starts; nothing grows with the task count.
   *
   * @param lgsMode every task is a local graph search (opt E): vertex tasks
   *                search the root's induced neighborhood
@@ -344,6 +352,10 @@ object DfsEngine {
     m.copy(levelNodes = l)
   }
 
+  /** Run the plan on Spark. The driver holds the whole task array, one
+    * `Long` per task (an arc, an undirected edge or a vertex), and ships it
+    * to the executors with `parallelize`.
+    */
   def run(spark: SparkSession, g: CSRGraph, plan: SearchPlan, cfg: DfsConfig = DfsConfig()): Metrics = {
     // unpacked so that the task closure captures the plan, not the graph
     val Prepared(graph, planX, useLgs, tasks) = prepare(g, plan, cfg)

@@ -70,17 +70,6 @@ object Fsm {
     }
   }
 
-  /** All isomorphisms from `a` onto `b` (same n; maps position i of a to
-    * position iso(i) of b) respecting edges and labels.
-    */
-  private def allIsomorphisms(a: Pattern, b: Pattern): Vector[Vector[Int]] =
-    (0 until a.n).toVector.permutations.filter { phi =>
-      (0 until a.n).forall { i =>
-        a.labels.get(i) == b.labels.get(phi(i)) &&
-          (0 until a.n).forall(j => a.isEdge(i, j) == b.isEdge(phi(i), phi(j)))
-      }
-    }.toVector
-
   /** A resolved extension target: the child's canonical code plus every
     * isomorphism from the canonical child pattern onto the *as-grown*
     * child, so embedding tuples can be re-ordered into canonical position
@@ -102,7 +91,7 @@ object Fsm {
 
   private def extension(grown: Pattern): Ext = {
     val code = grown.canonicalCode
-    Ext(code, allIsomorphisms(decodePattern(code), grown).map(_.toArray))
+    Ext(code, decodePattern(code).isomorphismsTo(grown).map(_.toArray))
   }
 
   /** Pattern machinery keyed by canonical code. One run broadcasts one

@@ -1,7 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-
 /** Immutable CSR adjacency for an undirected simple graph (the paper's
   * in-memory format, §4.2). Neighbor lists are sorted ascending so sorted
   * set primitives and symmetry-break early exit apply. Broadcast to
@@ -163,15 +161,5 @@ object CSRGraph {
     v = 0
     while (v < n) { java.util.Arrays.sort(nb, off(v), off(v + 1)); v += 1 }
     new CSRGraph(n, off, nb, labels)
-  }
-
-  /** Canonical edge DataFrame (src < dst) for the BFS engine / oracle. */
-  def toEdgeDf(spark: SparkSession, g: CSRGraph): DataFrame = {
-    import org.apache.spark.sql.types._
-    val rows = g.canonicalEdges.map { e =>
-      Row((e >>> 32).toInt, (e & 0xffffffffL).toInt)
-    }
-    val schema = StructType(Seq(StructField("src", IntegerType, false), StructField("dst", IntegerType, false)))
-    spark.createDataFrame(spark.sparkContext.parallelize(rows.toIndexedSeq, 8), schema)
   }
 }

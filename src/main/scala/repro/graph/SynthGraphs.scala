@@ -1,7 +1,5 @@
 package repro.graph
 
-import org.apache.spark.sql.SparkSession
-
 /** Seeded synthetic graph generators substituting for the paper's data
   * graphs (Table 3). Power-law endpoint sampling reproduces the skew that
   * drives GPM cost; labeled variants (zipf label distribution) back FSM.
@@ -106,42 +104,6 @@ object SynthGraphs {
         }
       }
     CSRGraph.fromEdges(n, edges.toIndexedSeq, labels)
-  }
-
-  /** Deterministic small fixtures for tests. */
-  def cycle(n: Int): CSRGraph = CSRGraph.fromEdges(n, (0 until n).map(i => (i, (i + 1) % n)))
-  def completeGraph(n: Int): CSRGraph =
-    CSRGraph.fromEdges(n, for { u <- 0 until n; v <- u + 1 until n } yield (u, v))
-  def starGraph(leaves: Int): CSRGraph =
-    CSRGraph.fromEdges(leaves + 1, (1 to leaves).map(v => (0, v)))
-  def grid(rows: Int, cols: Int): CSRGraph = {
-    def id(r: Int, c: Int) = r * cols + c
-    val es = (for { r <- 0 until rows; c <- 0 until cols } yield {
-      val right = if (c + 1 < cols) Seq((id(r, c), id(r, c + 1))) else Nil
-      val down = if (r + 1 < rows) Seq((id(r, c), id(r + 1, c))) else Nil
-      right ++ down
-    }).flatten
-    CSRGraph.fromEdges(rows * cols, es)
-  }
-
-  /** Bipartite co-occurrence graph derived from the provided TPC-H-lite
-    * generator: orders on one side, parts on the other, an edge per
-    * lineitem. Exercises `repro.SynthData` and gives the oracle a second
-    * input schema.
-    */
-  def tpchBipartite(spark: SparkSession, sf: Double = 0.002, seed: Long = 0): CSRGraph = {
-    val li = repro.SynthData.lineitem(spark, sf, seed)
-      .select("l_orderkey", "l_partkey").collect()
-    val orderIds = scala.collection.mutable.HashMap.empty[Long, Int]
-    val partIds = scala.collection.mutable.HashMap.empty[Long, Int]
-    li.foreach(r => orderIds.getOrElseUpdate(r.getLong(0), orderIds.size))
-    val nOrders = orderIds.size
-    val es = li.map { r =>
-      val o = orderIds(r.getLong(0))
-      val p = partIds.getOrElseUpdate(r.getLong(1), partIds.size)
-      (o, nOrders + p)
-    }.toIndexedSeq
-    CSRGraph.fromEdges(nOrders + partIds.size, es)
   }
 }
 

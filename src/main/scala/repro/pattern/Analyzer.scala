@@ -65,10 +65,6 @@ object Analyzer {
     pool.minBy(o => (orderCost(p, o, induced), o.mkString(",")))
   }
 
-  /** Automorphisms of the pattern expressed in *position* space. */
-  private def positionAutomorphisms(pos: Pattern): Vector[Vector[Int]] =
-    pos.automorphisms
-
   /** All rank assignments (position -> relative id rank) for orbit checks. */
   private def rankPerms(k: Int): Vector[Vector[Int]] =
     (0 until k).toVector.permutations.toVector
@@ -96,7 +92,7 @@ object Analyzer {
     * exactly one representative under `conds`.
     */
   def condsValid(pos: Pattern, conds: Seq[(Int, Int)]): Boolean = {
-    val auts = positionAutomorphisms(pos)
+    val auts = pos.automorphisms
     orbits(pos.n, auts).forall(_.count(satisfies(_, conds)) == 1)
   }
 
@@ -120,7 +116,7 @@ object Analyzer {
       return chain
     }
     val id = (0 until k).toVector
-    val auts = positionAutomorphisms(pos).filterNot(_ == id)
+    val auts = pos.automorphisms.filterNot(_ == id)
     if (auts.isEmpty) return Vector.empty
     var conds = auts.map { sigma =>
       val a = (0 until k).find(i => sigma(i) != i).get

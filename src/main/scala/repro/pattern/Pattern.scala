@@ -51,12 +51,21 @@ final case class Pattern(n: Int, adj: Vector[Int], labels: Option[Vector[Int]] =
     Integer.bitCount(seen) == n
   }
 
-  /** All vertex permutations preserving adjacency (and labels). */
-  def automorphisms: Vector[Vector[Int]] =
-    (0 until n).toVector.permutations.filter { p =>
-      val labelOk = labels.forall(ls => (0 until n).forall(v => ls(v) == ls(p(v))))
-      labelOk && (0 until n).forall(u => (u + 1 until n).forall(v => isEdge(u, v) == isEdge(p(u), p(v))))
+  /** All isomorphisms onto `b`: permutations `phi` mapping vertex i of
+    * this pattern to vertex `phi(i)` of `b`, preserving adjacency and
+    * labels. Empty when the patterns are not isomorphic.
+    */
+  def isomorphismsTo(b: Pattern): Vector[Vector[Int]] =
+    if (b.n != n) Vector.empty
+    else (0 until n).toVector.permutations.filter { phi =>
+      (0 until n).forall { u =>
+        labels.map(_(u)) == b.labels.map(_(phi(u))) &&
+          (u + 1 until n).forall(v => isEdge(u, v) == b.isEdge(phi(u), phi(v)))
+      }
     }.toVector
+
+  /** All vertex permutations preserving adjacency (and labels). */
+  def automorphisms: Vector[Vector[Int]] = isomorphismsTo(this)
 
   /** Canonical code: minimum upper-triangle bitstring (plus labels) over all
     * permutations. Two patterns are isomorphic iff codes are equal.

@@ -22,8 +22,8 @@ final case class LevelSpec(
 }
 
 /** A pattern-specific search plan: the artifact the paper's code generator
-  * turns into CUDA; here it is interpreted by [[repro.engine.DfsEngine]]
-  * and compiled into a Catalyst plan by [[repro.engine.BfsEngine]].
+  * turns into CUDA; here it is interpreted by [[repro.engine.DfsEngine]].
+  * The test-scope BFS oracle compiles the same plan into DataFrame joins.
   *
   * @param bufferReuse for level i, `Some(j)` if W_i is identical to W_j
   *                    (j < i) and can be reused without recomputation —

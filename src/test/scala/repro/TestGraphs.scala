@@ -1,15 +1,16 @@
 package repro
 
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import repro.graph.{CSRGraph, SynthGraphs}
 
 /** Shared small graph fixtures for cross-checking engines against the
   * naive matcher and the DuckDB oracle. All deterministic.
   */
 object TestGraphs {
-  lazy val k7: CSRGraph = SynthGraphs.completeGraph(7)
-  lazy val cyc9: CSRGraph = SynthGraphs.cycle(9)
-  lazy val star8: CSRGraph = SynthGraphs.starGraph(8)
-  lazy val grid34: CSRGraph = SynthGraphs.grid(3, 4)
+  lazy val k7: CSRGraph = completeGraph(7)
+  lazy val cyc9: CSRGraph = cycle(9)
+  lazy val star8: CSRGraph = starGraph(8)
+  lazy val grid34: CSRGraph = grid(3, 4)
   lazy val plSkew: CSRGraph = SynthGraphs.powerLaw(60, 150, 0.8, seed = 1)
   lazy val plMild: CSRGraph = SynthGraphs.powerLaw(100, 300, 0.5, seed = 2)
   lazy val plDense: CSRGraph = SynthGraphs.powerLaw(40, 220, 0.6, seed = 3)
@@ -26,4 +27,48 @@ object TestGraphs {
     "pl-mild" -> plMild,
     "pl-dense" -> plDense,
   )
+
+  def cycle(n: Int): CSRGraph = CSRGraph.fromEdges(n, (0 until n).map(i => (i, (i + 1) % n)))
+  def completeGraph(n: Int): CSRGraph =
+    CSRGraph.fromEdges(n, for { u <- 0 until n; v <- u + 1 until n } yield (u, v))
+  def starGraph(leaves: Int): CSRGraph =
+    CSRGraph.fromEdges(leaves + 1, (1 to leaves).map(v => (0, v)))
+  def grid(rows: Int, cols: Int): CSRGraph = {
+    def id(r: Int, c: Int) = r * cols + c
+    val es = (for { r <- 0 until rows; c <- 0 until cols } yield {
+      val right = if (c + 1 < cols) Seq((id(r, c), id(r, c + 1))) else Nil
+      val down = if (r + 1 < rows) Seq((id(r, c), id(r + 1, c))) else Nil
+      right ++ down
+    }).flatten
+    CSRGraph.fromEdges(rows * cols, es)
+  }
+
+  /** Bipartite co-occurrence graph derived from the TPC-H-lite generator:
+    * orders on one side, parts on the other, an edge per lineitem.
+    * Exercises `repro.SynthData` and gives the oracle a second input schema.
+    */
+  def tpchBipartite(spark: SparkSession, sf: Double = 0.002, seed: Long = 0): CSRGraph = {
+    val li = SynthData.lineitem(spark, sf, seed)
+      .select("l_orderkey", "l_partkey").collect()
+    val orderIds = scala.collection.mutable.HashMap.empty[Long, Int]
+    val partIds = scala.collection.mutable.HashMap.empty[Long, Int]
+    li.foreach(r => orderIds.getOrElseUpdate(r.getLong(0), orderIds.size))
+    val nOrders = orderIds.size
+    val es = li.map { r =>
+      val o = orderIds(r.getLong(0))
+      val p = partIds.getOrElseUpdate(r.getLong(1), partIds.size)
+      (o, nOrders + p)
+    }.toIndexedSeq
+    CSRGraph.fromEdges(nOrders + partIds.size, es)
+  }
+
+  /** Canonical edge DataFrame (src < dst) for the BFS engine / oracle. */
+  def toEdgeDf(spark: SparkSession, g: CSRGraph): DataFrame = {
+    import org.apache.spark.sql.types._
+    val rows = g.canonicalEdges.map { e =>
+      Row((e >>> 32).toInt, (e & 0xffffffffL).toInt)
+    }
+    val schema = StructType(Seq(StructField("src", IntegerType, false), StructField("dst", IntegerType, false)))
+    spark.createDataFrame(spark.sparkContext.parallelize(rows.toIndexedSeq, 8), schema)
+  }
 }

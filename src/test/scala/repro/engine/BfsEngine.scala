@@ -4,14 +4,15 @@ import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.plan.SearchPlan
 
-/** Level-by-level BFS exploration (Algorithm 2) compiled from a
-  * [[SearchPlan]] into a chain of DataFrame joins — i.e. the paper's
+/** Test oracle: level-by-level BFS exploration (Algorithm 2) compiled
+  * from a [[SearchPlan]] into a chain of DataFrame joins — the paper's
   * "code generation" realized as Catalyst logical-plan generation.
   *
-  * Each level materializes the full subgraph list (like Pangolin), so the
-  * engine reports per-level row counts; the cost model turns those into
-  * memory footprints and OoM verdicts. Setting `maxRows` makes the run
-  * fail fast with [[BfsOom]] like a device running out of memory.
+  * Each level materializes the full subgraph list (like Pangolin), so a run
+  * reports per-level row counts. Tests check those against `DfsEngine`'s
+  * `levelNodes`, from which the cost model derives the Pangolin and PBE
+  * memory footprints; no table runs this engine. Setting `maxRows` makes
+  * the run fail fast with [[BfsOom]] like a device running out of memory.
   */
 object BfsEngine {
 

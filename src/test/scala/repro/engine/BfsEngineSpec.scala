@@ -11,7 +11,7 @@ import repro.plan.Planner
   */
 class BfsEngineSpec extends SparkSpec {
 
-  private def edgeDf(g: CSRGraph) = CSRGraph.toEdgeDf(spark, g)
+  private def edgeDf(g: CSRGraph) = TestGraphs.toEdgeDf(spark, g)
 
   for {
     (pName, p, induced) <- Seq(

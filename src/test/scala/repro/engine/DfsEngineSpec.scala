@@ -191,14 +191,14 @@ class DfsEngineSpec extends AnyFunSuite {
   }
 
   test("8-clique listing runs on K10 (large-pattern support, Fig. 11)") {
-    val k10 = repro.graph.SynthGraphs.completeGraph(10)
+    val k10 = TestGraphs.completeGraph(10)
     val m = DfsEngine.runLocal(k10, Planner.plan(Patterns.clique(8), induced = false), DfsConfig())
     assert(m.count == 45) // C(10,8)
   }
 
   test("TPC-H bipartite graph has no triangles (SynthData substrate)") {
     val spark = repro.SparkSpec.shared
-    val g = repro.graph.SynthGraphs.tpchBipartite(spark, sf = 0.001)
+    val g = TestGraphs.tpchBipartite(spark, sf = 0.001)
     val m = DfsEngine.runLocal(g, Planner.plan(Patterns.triangle, induced = false), DfsConfig())
     assert(m.count == 0)
     val c4 = DfsEngine.runLocal(g, Planner.plan(Patterns.cycle4, induced = false), DfsConfig())

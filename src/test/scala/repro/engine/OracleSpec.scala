@@ -12,7 +12,7 @@ import repro.plan.Planner
   */
 class OracleSpec extends SparkSpec {
 
-  private def edges(g: CSRGraph) = CSRGraph.toEdgeDf(spark, g)
+  private def edges(g: CSRGraph) = TestGraphs.toEdgeDf(spark, g)
 
   private def sparkCount(v: Long) = {
     import spark.implicits._
@@ -31,7 +31,7 @@ class OracleSpec extends SparkSpec {
   }
 
   test("triangle count matches DuckDB on the TPC-H bipartite graph (zero)") {
-    val g = repro.graph.SynthGraphs.tpchBipartite(spark, sf = 0.001)
+    val g = TestGraphs.tpchBipartite(spark, sf = 0.001)
     val e = edges(g)
     val m = DfsEngine.runLocal(g, Planner.plan(Patterns.triangle, induced = false), DfsConfig())
     assert(m.count == 0)

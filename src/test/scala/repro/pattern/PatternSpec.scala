@@ -57,6 +57,28 @@ class PatternSpec extends AnyFunSuite {
     assert(q.automorphisms.size == 2)
   }
 
+  test("isomorphismsTo: |Aut| edge-preserving maps onto a permuted copy, none across classes or labels") {
+    val perm = Vector(2, 0, 3, 1)
+    val inverse = perm.indices.map(perm.indexOf(_)).toVector
+    for (p <- Patterns.motifs(4)) {
+      val q = p.permuted(perm)
+      val isos = p.isomorphismsTo(q)
+      assert(isos.size == p.automorphisms.size && isos.distinct == isos, s"$p")
+      assert(isos.contains(inverse), s"$p")
+      for (phi <- isos; u <- 0 until 4; v <- 0 until 4)
+        assert(p.isEdge(u, v) == q.isEdge(phi(u), phi(v)), s"$p under $phi")
+    }
+    assert(Patterns.path(4).isomorphismsTo(Patterns.star(4)).isEmpty)
+    assert(Patterns.triangle.isomorphismsTo(Patterns.clique(4)).isEmpty)
+    // labels restrict the maps: the label-0 centre must land on a label-0 centre
+    val a = Patterns.fromEdges(3, Seq((0, 1), (0, 2)), Some(Vector(0, 1, 1)))
+    val b = Patterns.fromEdges(3, Seq((1, 0), (1, 2)), Some(Vector(1, 0, 1)))
+    val c = Patterns.fromEdges(3, Seq((0, 1), (0, 2)), Some(Vector(1, 0, 1)))
+    assert(a.isomorphismsTo(b).toSet == Set(Vector(1, 0, 2), Vector(1, 2, 0)))
+    assert(a.isomorphismsTo(c).isEmpty)
+    assert(a.isomorphismsTo(Patterns.wedge).isEmpty)
+  }
+
   test("canonical codes: isomorphic patterns match, others differ") {
     val d1 = Patterns.diamond
     val d2 = Patterns.fromEdges(4, Seq((2, 3), (2, 0), (2, 1), (3, 0), (3, 1)))
