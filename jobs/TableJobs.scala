@@ -3,17 +3,6 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.bench.Tables
 
-/** The Spark session the table job runs in. */
-object TableJobs {
-  def session(name: String): SparkSession =
-    SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(name)
-      .config("spark.sql.shuffle.partitions", "64")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-}
-
 /** spark-submit entrypoint for the paper's tables: prints each named table
   * (simulated seconds from measured work) next to the paper's reported
   * numbers, or every table when given no name.
@@ -41,7 +30,10 @@ object TableJob {
       sys.exit(2)
     }
     val names = if (args.isEmpty) tables.map(_._1) else args.toSeq
-    val spark = TableJobs.session("g2miner-tables")
+    val spark = SparkSession.builder
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName("g2miner-tables")
+      .getOrCreate()
     try names.foreach(n => println(byName(n)(spark, Tables.benchLoader)))
     finally spark.stop()
   }

@@ -54,13 +54,6 @@ object Tables {
   val benchLoader: Loader = DataGraphs.build
   val tinyLoader: Loader = DataGraphs.tiny
 
-  // Table runs are deterministic in (table, loader): memoize so suites that
-  // cross-reference tables (e.g. Table 9 vs Table 6) pay once. Loaders are
-  // functions, so the key compares them by reference.
-  private val tableCache = scala.collection.concurrent.TrieMap.empty[(String, Loader), TableResult]
-  private def cached(name: String, load: Loader)(body: => TableResult): TableResult =
-    tableCache.getOrElseUpdate((name, load), body)
-
   /** One mined column: the exact count plus each system's simulated time. */
   final case class SystemSims(count: Long, sims: Map[String, Sim])
 
@@ -133,14 +126,13 @@ object Tables {
     specs.map(_ -> named)
   }
 
-  private def systemTable(name: String, title: String, systems: Seq[String], paper: PaperNumbers.Table,
-                          entries: Seq[(DataGraphs.Spec, Mine)])(spark: SparkSession, load: Loader): TableResult =
-    cached(name, load) {
-      val cols = entries.flatMap { case (spec, mine) => mine(spark, spec, load(spec)) }
-      val sims = for ((col, r) <- cols; sys <- systems) yield (sys, col) -> r.sims(sys)
-      val counts = cols.map { case (col, r) => col -> r.count }
-      TableResult(title, cols.map(_._1), systems, sims.toMap, counts.toMap, paper)
-    }
+  private def systemTable(title: String, systems: Seq[String], paper: PaperNumbers.Table,
+                          entries: Seq[(DataGraphs.Spec, Mine)])(spark: SparkSession, load: Loader): TableResult = {
+    val cols = entries.flatMap { case (spec, mine) => mine(spark, spec, load(spec)) }
+    val sims = for ((col, r) <- cols; sys <- systems) yield (sys, col) -> r.sims(sys)
+    val counts = cols.map { case (col, r) => col -> r.count }
+    TableResult(title, cols.map(_._1), systems, sims.toMap, counts.toMap, paper)
+  }
 
   private val allSystems = Seq("G2Miner", "Pangolin", "PBE", "Peregrine", "GraphZero")
   private val fiveGraphs = Seq(DataGraphs.lj, DataGraphs.or, DataGraphs.tw2, DataGraphs.tw4, DataGraphs.fr)
@@ -150,25 +142,25 @@ object Tables {
 
   /** Table 4: triangle counting. */
   def table4(spark: SparkSession, load: Loader): TableResult =
-    systemTable("table4", "Table 4: TC running time (sim-sec)", allSystems, PaperNumbers.table4,
+    systemTable("Table 4: TC running time (sim-sec)", allSystems, PaperNumbers.table4,
       perGraph("", fiveGraphs :+ DataGraphs.uk)(listing(Patterns.triangle)))(spark, load)
 
   /** Table 5: k-clique listing. */
   def table5(spark: SparkSession, load: Loader): TableResult =
-    systemTable("table5", "Table 5: k-CL running time (sim-sec)", allSystems, PaperNumbers.table5,
+    systemTable("Table 5: k-CL running time (sim-sec)", allSystems, PaperNumbers.table5,
       perGraph("4CL/", fiveGraphs)(listing(Patterns.clique(4))) ++
         perGraph("5CL/", threeGraphs)(listing(Patterns.clique(5))))(spark, load)
 
   /** Table 6: subgraph listing (edge-induced diamond, 4-cycle). */
   def table6(spark: SparkSession, load: Loader): TableResult =
-    systemTable("table6", "Table 6: SL running time (sim-sec)", allSystems.filterNot(_ == "Pangolin"),
+    systemTable("Table 6: SL running time (sim-sec)", allSystems.filterNot(_ == "Pangolin"),
       PaperNumbers.table6,
       perGraph("dia/", fiveGraphs)(listing(Patterns.diamond)) ++
         perGraph("c4/", threeGraphs)(listing(Patterns.cycle4)))(spark, load)
 
   /** Table 7: k-motif counting (vertex-induced, multi-pattern). */
   def table7(spark: SparkSession, load: Loader): TableResult =
-    systemTable("table7", "Table 7: k-MC running time (sim-sec)", allSystems.filterNot(_ == "PBE"),
+    systemTable("Table 7: k-MC running time (sim-sec)", allSystems.filterNot(_ == "PBE"),
       PaperNumbers.table7,
       perGraph("3MC/", fiveGraphs)(motifWorkload(_, _, _, 3)) ++
         perGraph("4MC/", threeGraphs)(motifWorkload(_, _, _, 4)))(spark, load)
@@ -244,7 +236,7 @@ object Tables {
   }
 
   def table8(spark: SparkSession, load: Loader): TableResult =
-    systemTable("table8", "Table 8: 3-FSM running time (sim-sec)", Seq("G2Miner", "Pangolin", "Peregrine", "DistGraph"),
+    systemTable("Table 8: 3-FSM running time (sim-sec)", Seq("G2Miner", "Pangolin", "Peregrine", "DistGraph"),
       PaperNumbers.table8, Seq(DataGraphs.mi, DataGraphs.pa, DataGraphs.yo).map(_ -> (fsmColumns _)))(spark, load)
 
   // ------------------------------------------------------------------
@@ -269,7 +261,7 @@ object Tables {
   }
 
   def table9(spark: SparkSession, load: Loader): TableResult =
-    systemTable("table9", "Table 9: counting-only pruning (sim-sec)", Seq("G2Miner", "Peregrine"), PaperNumbers.table9,
+    systemTable("Table 9: counting-only pruning (sim-sec)", Seq("G2Miner", "Peregrine"), PaperNumbers.table9,
       perGraph("dia/", fiveGraphs)(fusedDiamond) ++ perGraph("3MC/", fiveGraphs)(motifFormulas(3)) ++
         perGraph("4MC/", threeGraphs)(motifFormulas(4)))(spark, load)
 

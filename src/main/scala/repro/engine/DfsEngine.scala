@@ -6,30 +6,28 @@ import repro.plan.{Planner, SearchPlan}
 import repro.setops.{SetOps, WorkCounter}
 
 /** Configuration knobs mirroring the paper's optimization letters (Table 2).
+  * Tasks are always edge-parallel (§5.1 (2)) with edgelist reduction
+  * (opt J); only LGS switches to vertex tasks.
   *
-  * @param edgeParallel      edge- vs vertex-parallel tasks (§5.1 (2))
-  * @param orientation       DAG orientation for cliques (opt A)
-  * @param edgelistReduction emit each symmetric edge once (opt J)
-  * @param buffering         reuse intermediate sets across levels (opt K)
-  * @param countingOnly      counting-only run (opt D). The engine does not
-  *                          read it: fusing the two innermost loops into
-  *                          C(n,2) follows `SearchPlan.fusedCount`, which
-  *                          `Planner.plan(countingOnly = true)` sets
-  * @param lgs               local graph search for hub patterns (opt E)
-  * @param lgsMaxDegree      input-aware threshold: skip LGS if Δ too large
-  * @param boundedMerges     early-exit merges at upper symmetry bounds
-  *                          (set bounding inside the merge, §6.1); disable
-  *                          to measure the scan volume of engines without
-  *                          it (Pangolin's extend-then-filter)
+  * @param orientation   DAG orientation for cliques (opt A)
+  * @param buffering     reuse intermediate sets across levels (opt K)
+  * @param countingOnly  counting-only run (opt D). The engine does not
+  *                      read it: fusing the two innermost loops into
+  *                      C(n,2) follows `SearchPlan.fusedCount`, which
+  *                      `Planner.plan(countingOnly = true)` sets
+  * @param lgs           local graph search for hub patterns (opt E), on
+  *                      inputs whose maximum degree is at most
+  *                      [[DfsEngine.LgsMaxDegree]]
+  * @param boundedMerges early-exit merges at upper symmetry bounds
+  *                      (set bounding inside the merge, §6.1); disable
+  *                      to measure the scan volume of engines without
+  *                      it (Pangolin's extend-then-filter)
   */
 final case class DfsConfig(
-    edgeParallel: Boolean = true,
     orientation: Boolean = true,
-    edgelistReduction: Boolean = true,
     buffering: Boolean = true,
     countingOnly: Boolean = false,
     lgs: Boolean = false,
-    lgsMaxDegree: Int = 4096,
     boundedMerges: Boolean = true,
 )
 
@@ -64,8 +62,9 @@ final case class Metrics(
   * identity view LGS tasks scan. An LGS task also holds its root's local
   * graph until the next task starts; nothing grows with the task count.
   *
-  * @param lgsMode every task is a local graph search (opt E): vertex tasks
-  *                search the root's induced neighborhood
+  * @param lgsMode every task is a local graph search (opt E): a vertex task
+  *                that searches the root's induced neighborhood. Otherwise
+  *                every task is an edge.
   */
 final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode: Boolean) {
   private val k = plan.k
@@ -241,40 +240,27 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     lvl(i + 1) += n * (n - 1) / 2
   }
 
-  /** Run one task encoded by [[PlanExecutor.edgeTask]] or
-    * [[PlanExecutor.vertexTask]]: the single dispatch site of the engine.
+  /** Run one task: a vertex ([[PlanExecutor.vertexTask]]) in LGS mode, an
+    * edge ([[PlanExecutor.edgeTask]]) otherwise. The single dispatch site
+    * of the engine.
     */
   def runTask(t: Long): Unit = {
     val v0 = (t >>> 32).toInt
-    val v1 = (t & 0xffffffffL).toInt
-    if (v1 != -1) runEdgeTask(v0, v1)
-    else if (lgsMode) runLgsTask(v0)
-    else runVertexTask(v0)
+    if (lgsMode) runLgsTask(v0) else runEdgeTask(v0, (t & 0xffffffffL).toInt)
   }
 
   private def resetTask(): Unit = java.util.Arrays.fill(candStored, false)
 
-  /** Edge-parallel task: the subtree rooted at edge (v0, v1). */
+  /** Edge task: the subtree rooted at edge (v0, v1). Tasks are reduced
+    * (opt J), so (v0, v1) already satisfies level 1's symmetry bounds.
+    */
   private def runEdgeTask(v0: Int, v1: Int): Unit = {
     tasksRun += 1
     resetTask()
     matched(0) = v0
-    // validate level-1 symmetry bounds (tasks may carry both directions)
-    val spec = levels(0)
-    if (spec.uppers.exists(j => v1 >= matched(j))) return
-    if (spec.lowers.exists(j => v1 <= matched(j))) return
     matched(1) = v1
     lvl(1) += 1
     if (k == 2) count += 1 else descend(2)
-  }
-
-  /** Vertex-parallel task: the subtree rooted at vertex v0. */
-  private def runVertexTask(v0: Int): Unit = {
-    tasksRun += 1
-    resetTask()
-    matched(0) = v0
-    if (k == 1) { count += 1; lvl(0) += 1; return }
-    descend(1)
   }
 
   /** LGS task (hub patterns): search v0's local induced graph (Fig. 7). */
@@ -300,12 +286,12 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
 
 object PlanExecutor {
   def edgeTask(v0: Int, v1: Int): Long = (v0.toLong << 32) | v1.toLong
-  def vertexTask(v0: Int): Long = (v0.toLong << 32) | 0xffffffffL
+  def vertexTask(v0: Int): Long = v0.toLong << 32
 }
 
-/** The G²Miner execution engine on Spark: tasks are distributed across the
-  * cluster as a Dataset; each partition interprets the pattern's search
-  * plan over a broadcast CSR graph. Counts are exact; metrics feed the
+/** The G²Miner execution engine on Spark: tasks are an RDD built with
+  * `parallelize`; each partition interprets the pattern's search plan over
+  * a broadcast CSR graph. Counts are exact; metrics feed the
   * simulated-device cost model and the multi-GPU scheduler.
   */
 object DfsEngine {
@@ -315,23 +301,31 @@ object DfsEngine {
     */
   private final case class Prepared(graph: CSRGraph, plan: SearchPlan, lgs: Boolean, tasks: Array[Long])
 
+  /** Input-aware LGS threshold (opt E): on an input whose maximum degree
+    * exceeds it, LGS is skipped and the search stays global. An LGS task
+    * builds its root's induced neighbourhood, up to Δ(Δ − 1) local arcs
+    * held twice while it is built: about 128 MiB per executor thread at
+    * Δ = 4096. The Tw2, Tw4 and Uk analogs exceed it (Δ ≈ 5.9 K–13.8 K);
+    * no oriented analog does.
+    */
+  val LgsMaxDegree = 4096
+
   /** Orientation rewrites clique plans onto the DAG (opt A); LGS switches
-    * hub patterns to vertex-rooted local search (opt E). Tasks are edges
-    * unless LGS or vertex parallelism is on.
+    * hub patterns to vertex-rooted local search (opt E). Otherwise tasks
+    * are edges: under a (v0, v1) symmetry condition one per undirected
+    * edge, oriented to satisfy it up front (opt J); without one, every
+    * arc. The oriented clique plan has no conditions, so it takes every
+    * DAG arc.
     */
   private def prepare(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig): Prepared = {
     val orient = cfg.orientation && plan.pattern.isClique && !plan.induced
     val graph = if (orient) g.oriented else g
     val planX = if (orient) Planner.orientedCliquePlan(plan.k) else plan
-    val useLgs = cfg.lgs && planX.hubRooted && graph.maxDegree <= cfg.lgsMaxDegree && planX.k >= 3
+    val useLgs = cfg.lgs && planX.hubRooted && graph.maxDegree <= LgsMaxDegree && planX.k >= 3
     val tasks =
-      if (useLgs || !cfg.edgeParallel) Array.tabulate(graph.n)(PlanExecutor.vertexTask)
+      if (useLgs) Array.tabulate(graph.n)(PlanExecutor.vertexTask)
       else {
-        // opt J: under a (v0, v1) symmetry condition, one task per
-        // undirected edge, oriented to satisfy it up front. Otherwise every
-        // arc, and level-1 bounds filter on the fly; the oriented clique
-        // plan has no conditions, so it takes every DAG arc.
-        val cond = if (cfg.edgelistReduction) planX.rootEdgeCond else None
+        val cond = planX.rootEdgeCond
         val out = Array.newBuilder[Long]
         for (u <- 0 until graph.n; i <- graph.offsets(u) until graph.offsets(u + 1)) {
           val v = graph.nbrs(i)

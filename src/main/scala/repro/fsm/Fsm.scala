@@ -134,11 +134,6 @@ object Fsm {
     }
   }
 
-  def singleEdgePattern(la: Int, lb: Int): Pattern = {
-    val (a, b) = (math.min(la, lb), math.max(la, lb))
-    Patterns.fromEdges(2, Seq((0, 1)), Some(Vector(a, b)))
-  }
-
   def run(spark: SparkSession, g: CSRGraph, cfg: FsmConfig): FsmResult = {
     require(g.labeled, "FSM requires a labeled graph")
     val sc = spark.sparkContext

@@ -25,17 +25,6 @@ final class CSRGraph(
 
   lazy val maxDegree: Int = if (n == 0) 0 else (0 until n).map(deg).max
 
-  def hasEdge(u: Int, v: Int): Boolean = {
-    var lo = offsets(u); var hi = offsets(u + 1) - 1
-    while (lo <= hi) {
-      val mid = (lo + hi) >>> 1
-      if (nbrs(mid) == v) return true
-      else if (nbrs(mid) < v) lo = mid + 1
-      else hi = mid - 1
-    }
-    false
-  }
-
   /** Canonical undirected edges (u < v). */
   def canonicalEdges: Array[Long] = {
     val out = Array.ofDim[Long](numEdges.toInt)

@@ -141,8 +141,6 @@ object DataGraphs {
   val yo: Spec = Spec("Yo", 4000, 14000, 0.45, 28, 109, 0.05, Nil,
     PaperStats(7e6, 114e6, 4017))
 
-  val all: Vector[Spec] = Vector(lj, or, tw2, tw4, fr, uk, mi, pa, yo)
-
   private val cache = scala.collection.concurrent.TrieMap.empty[String, CSRGraph]
 
   def build(s: Spec): CSRGraph =

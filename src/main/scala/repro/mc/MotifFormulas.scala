@@ -10,7 +10,9 @@ import repro.setops.{SetOps, WorkCounter}
   * primitives — per-edge triangle counts, degree moments, common-neighbor
   * pair statistics and 4-clique enumeration — then convert *non-induced*
   * counts to *induced* motif counts with an inversion matrix that is
-  * derived and exactly inverted in code (ESCAPE-style [82]).
+  * derived and exactly inverted in code (ESCAPE-style [82]). The 4-cycle
+  * primitive is the one Spark job, a shuffle-free pass over the broadcast
+  * CSR; the other primitives run in the calling thread.
   */
 object MotifFormulas {
 
@@ -97,33 +99,49 @@ object MotifFormulas {
   }
 
   /** Non-induced 4-cycle count: every 4-cycle has two "diagonal" vertex
-    * pairs; a pair (u, w) with c common neighbors closes C(c, 2) cycles.
-    * Computed as a genuine Spark job: wedge generation from the broadcast
-    * CSR, then a groupBy over diagonal pairs.
+    * pairs; a pair (u, w) with c common neighbors closes C(c, 2) cycles
+    * (ESCAPE, Pinar et al., WWW 2017). One Spark job with no shuffle: each
+    * partition takes a range of vertices u of the broadcast CSR, counts the
+    * wedges u–v–w with w > u per end w, and adds C(count, 2), so every
+    * diagonal pair is seen once, at its lower end. A partition holds two
+    * `Int` arrays of n entries. Returns (4-cycles, total wedges).
     */
   def fourCyclesNonInduced(spark: SparkSession, g: CSRGraph): (Long, Long) = {
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast(g)
-    val par = math.max(1, spark.sparkContext.defaultParallelism)
-    val sum = try {
-      val wedgeEnds = spark.range(0, g.n, 1, par).as[Long].mapPartitions { it =>
+    val sc = spark.sparkContext
+    val bc = sc.broadcast(g)
+    val diagonals = try {
+      sc.parallelize(0 until g.n, math.max(1, sc.defaultParallelism)).mapPartitions { us =>
         val gg = bc.value
-        it.flatMap { zl =>
-          val z = zl.toInt
-          val s = gg.nbrStart(z); val e = gg.nbrEnd(z)
-          for {
-            i <- Iterator.range(s, e)
-            j <- Iterator.range(i + 1, e)
-          } yield (gg.nbrs(i).toLong << 32) | gg.nbrs(j).toLong
+        val cnt = new Array[Int](gg.n)
+        val touched = new Array[Int](gg.n)
+        var sum = 0L
+        us.foreach { u =>
+          var nt = 0
+          var i = gg.nbrStart(u)
+          while (i < gg.nbrEnd(u)) {
+            val v = gg.nbrs(i)
+            // neighbor lists are sorted: walk N(v) down while w > u
+            var j = gg.nbrEnd(v) - 1
+            while (j >= gg.nbrStart(v) && gg.nbrs(j) > u) {
+              val w = gg.nbrs(j)
+              if (cnt(w) == 0) { touched(nt) = w; nt += 1 }
+              cnt(w) += 1
+              j -= 1
+            }
+            i += 1
+          }
+          while (nt > 0) {
+            nt -= 1
+            val w = touched(nt)
+            sum += cnt(w).toLong * (cnt(w) - 1) / 2
+            cnt(w) = 0
+          }
         }
-      }
-      val agg = wedgeEnds.toDF("pair").groupBy("pair").count()
-        .selectExpr("sum((count * (count - 1)) div 2) as s")
-        .collect()(0)
-      if (agg.isNullAt(0)) 0L else agg.getLong(0)
+        Iterator.single(sum)
+      }.reduce(_ + _)
     } finally bc.destroy()
     val totalWedges = (0 until g.n).map(v => g.deg(v).toLong * (g.deg(v) - 1) / 2).sum
-    (sum / 2, totalWedges)
+    (diagonals / 2, totalWedges)
   }
 
   /** Induced 3-motif counts from closed forms: wedge = W − 3T, triangle = T. */

@@ -31,8 +31,6 @@ final case class Pattern(n: Int, adj: Vector[Int], labels: Option[Vector[Int]] =
   /** Hub vertices are connected to every other pattern vertex (§5.4 (2)). */
   def hubVertices: Vector[Int] = (0 until n).filter(v => degree(v) == n - 1).toVector
 
-  def isHubPattern: Boolean = hubVertices.nonEmpty
-
   def isConnected: Boolean = {
     if (n == 1) return true
     var seen = 1 // bit set of reached vertices, start from 0
@@ -121,7 +119,6 @@ object Patterns {
     Pattern(n, adj.toVector, labels)
   }
 
-  val edge: Pattern     = fromEdges(2, Seq((0, 1)))
   val wedge: Pattern    = fromEdges(3, Seq((0, 1), (0, 2)))
   val triangle: Pattern = clique(3)
 
@@ -161,19 +158,4 @@ object Patterns {
     }
     seen.values.toVector.sortBy(p => (p.numEdges, p.canonicalCode))
   }
-
-  /** Human names for the 3- and 4-motifs, keyed by canonical code. */
-  lazy val motifNames: Map[String, String] = Map(
-    wedge.canonicalCode          -> "wedge",
-    triangle.canonicalCode       -> "triangle",
-    path(4).canonicalCode        -> "4-path",
-    star(4).canonicalCode        -> "3-star",
-    cycle4.canonicalCode         -> "4-cycle",
-    tailedTriangle.canonicalCode -> "tailed-tri",
-    diamond.canonicalCode        -> "diamond",
-    clique(4).canonicalCode      -> "4-clique",
-  )
-
-  def nameOf(p: Pattern): String =
-    motifNames.getOrElse(p.canonicalCode, if (p.isClique) s"${p.n}-clique" else p.canonicalCode)
 }

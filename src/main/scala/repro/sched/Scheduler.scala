@@ -14,13 +14,10 @@ object Scheduler {
     */
   case object EvenSplit extends Policy { val name = "even-split" }
 
-  /** Policy 2: task j goes to queue j mod n. Fine-grained; per-task copy
-    * overhead.
-    */
-  case object RoundRobin extends Policy { val name = "round-robin" }
-
-  /** Policy 3: chunks of `chunk` tasks assigned round-robin — the paper's
-    * default with c = α × totalWarps, α = 2.
+  /** Policies 2 and 3: chunks of `chunk` tasks assigned round-robin.
+    * `chunk = 1` is plain round-robin (task j goes to queue j mod n:
+    * fine-grained, per-task copy overhead); the paper's default is
+    * c = α × totalWarps, α = 2.
     */
   final case class ChunkedRoundRobin(chunk: Int) extends Policy { val name = s"chunked-rr(c=$chunk)" }
 
@@ -31,9 +28,6 @@ object Scheduler {
       case EvenSplit =>
         var i = 0
         while (i < m) { out(i) = math.min(n - 1, (i.toLong * n / math.max(1, m)).toInt); i += 1 }
-      case RoundRobin =>
-        var i = 0
-        while (i < m) { out(i) = i % n; i += 1 }
       case ChunkedRoundRobin(c) =>
         require(c >= 1)
         var i = 0
@@ -42,13 +36,19 @@ object Scheduler {
     out
   }
 
-  /** Paper's chunk size: α × total warps (α = 2), clamped so that every
-    * device still receives several chunks when the task list is small
-    * relative to the warp count (the paper's graphs guarantee m >> warps;
-    * scaled-down inputs do not).
+  // §7.1: chunk multiplier α; devices of the paper's multi-GPU runs (Figs. 8–10)
+  private val Alpha = 2
+  private val Devices = 8
+  // per-task overhead (ns) of the round-robin family, copies overlapped with compute (§7.1)
+  private val CopyNsPerTask = 2.0
+
+  /** Paper's chunk size: α × total warps, clamped so that every device
+    * still receives several chunks when the task list is small relative to
+    * the warp count (the paper's graphs guarantee m >> warps; scaled-down
+    * inputs do not).
     */
-  def paperChunkSize(m: Int, warpsPerDevice: Int, alpha: Int = 2, devices: Int = 8): Int =
-    math.max(1, math.min(alpha * warpsPerDevice, m / (devices * 4)))
+  def paperChunkSize(m: Int, warpsPerDevice: Int): Int =
+    math.max(1, math.min(Alpha * warpsPerDevice, m / (Devices * 4)))
 
   final case class SimOutcome(
       policy: String,
@@ -59,19 +59,17 @@ object Scheduler {
   )
 
   /** Simulate an n-device run: per-device time = assigned work / device
-    * throughput + scheduling overhead (copy cost per chunk boundary for
-    * the round-robin family; overlapped as in §7.1 so only a small
-    * per-task constant remains).
+    * throughput + scheduling overhead (`CopyNsPerTask` per task for the
+    * round-robin family).
     */
-  def simulate(work: Array[Long], n: Int, policy: Policy,
-               deviceThroughput: Double, copyNsPerTask: Double = 2.0): SimOutcome = {
+  def simulate(work: Array[Long], n: Int, policy: Policy, deviceThroughput: Double): SimOutcome = {
     val asg = assign(work.length, n, policy)
     val acc = new Array[Long](n)
     var i = 0
     while (i < work.length) { acc(asg(i)) += work(i); i += 1 }
     val copySecs = policy match {
       case EvenSplit => 0.0
-      case _         => work.length.toDouble * copyNsPerTask * 1e-9 / n
+      case _         => work.length.toDouble * CopyNsPerTask * 1e-9 / n
     }
     val secs = acc.map(w => w.toDouble / deviceThroughput + copySecs).toVector
     SimOutcome(policy.name, n, acc.toVector, secs, secs.max)

@@ -8,64 +8,63 @@ import repro.cost.CostModel.Sim
   */
 class TablesSpec extends SparkSpec {
 
+  // one run per table, shared by the tests that read it
+  private lazy val t4 = Tables.table4(spark, Tables.tinyLoader)
+  private lazy val t5 = Tables.table5(spark, Tables.tinyLoader)
+  private lazy val t6 = Tables.table6(spark, Tables.tinyLoader)
+  private lazy val t7 = Tables.table7(spark, Tables.tinyLoader)
+  private lazy val t8 = Tables.table8(spark, Tables.tinyLoader)
+  private lazy val t9 = Tables.table9(spark, Tables.tinyLoader)
+
   private def allDefined(t: TableResult): Unit =
     for (s <- t.systems; c <- t.columns)
       assert(t.sims.contains((s, c)), s"missing cell ($s, $c)")
 
   test("table4 tiny: all cells present, G2Miner fastest, counts positive") {
-    val t = Tables.table4(spark, Tables.tinyLoader)
-    allDefined(t)
-    assert(t.counts.values.forall(_ >= 0))
-    for (c <- t.columns) {
-      val g2 = t.sim("G2Miner", c).seconds.get
-      for (s <- t.systems if s != "G2Miner"; sec <- t.sim(s, c).seconds)
+    allDefined(t4)
+    assert(t4.counts.values.forall(_ >= 0))
+    for (c <- t4.columns) {
+      val g2 = t4.sim("G2Miner", c).seconds.get
+      for (s <- t4.systems if s != "G2Miner"; sec <- t4.sim(s, c).seconds)
         assert(g2 <= sec, s"G2Miner not fastest on $c vs $s")
     }
   }
 
   test("table4 tiny: CPU systems slower than GPU G2Miner everywhere") {
-    val t = Tables.table4(spark, Tables.tinyLoader)
-    for (c <- t.columns)
-      assert(t.sim("GraphZero", c).seconds.get > t.sim("G2Miner", c).seconds.get)
+    for (c <- t4.columns)
+      assert(t4.sim("GraphZero", c).seconds.get > t4.sim("G2Miner", c).seconds.get)
   }
 
   test("table5 tiny smoke") {
-    val t = Tables.table5(spark, Tables.tinyLoader)
-    allDefined(t)
+    allDefined(t5)
     // 4-clique counts are consistent with 5-clique counts (5CL <= 4CL * V)
-    assert(t.counts.keys.exists(_.startsWith("4CL")))
+    assert(t5.counts.keys.exists(_.startsWith("4CL")))
   }
 
   test("table6 tiny smoke (no Pangolin column)") {
-    val t = Tables.table6(spark, Tables.tinyLoader)
-    allDefined(t)
-    assert(!t.systems.contains("Pangolin"))
+    allDefined(t6)
+    assert(!t6.systems.contains("Pangolin"))
   }
 
   test("table7 tiny smoke: motif totals positive") {
-    val t = Tables.table7(spark, Tables.tinyLoader)
-    allDefined(t)
-    assert(t.counts.values.forall(_ > 0))
+    allDefined(t7)
+    assert(t7.counts.values.forall(_ > 0))
   }
 
   test("table8 tiny smoke") {
-    val t = Tables.table8(spark, Tables.tinyLoader)
-    allDefined(t)
+    allDefined(t8)
     // more permissive sigma finds at least as many frequent patterns
     for (g <- Seq("Mi", "Pa", "Yo"))
-      assert(t.counts(s"$g/300") >= t.counts(s"$g/5000"))
+      assert(t8.counts(s"$g/300") >= t8.counts(s"$g/5000"))
   }
 
   test("table9 tiny smoke: counting-only GPU beats counting-only CPU") {
-    val t = Tables.table9(spark, Tables.tinyLoader)
-    allDefined(t)
-    for (c <- t.columns)
-      assert(t.sim("G2Miner", c).seconds.get < t.sim("Peregrine", c).seconds.get)
+    allDefined(t9)
+    for (c <- t9.columns)
+      assert(t9.sim("G2Miner", c).seconds.get < t9.sim("Peregrine", c).seconds.get)
   }
 
   test("table9 diamond counts equal table6 diamond counts (same semantics)") {
-    val t9 = Tables.table9(spark, Tables.tinyLoader)
-    val t6 = Tables.table6(spark, Tables.tinyLoader)
     for (g <- Seq("Lj", "Or", "Fr"))
       assert(t9.counts(s"dia/$g") == t6.counts(s"dia/$g"))
   }
@@ -79,8 +78,7 @@ class TablesSpec extends SparkSpec {
   }
 
   test("render produces a readable table with paper rows") {
-    val t = Tables.table4(spark, Tables.tinyLoader)
-    val out = t.render
+    val out = t4.render
     assert(out.contains("G2Miner") && out.contains("[paper]") && out.contains("[sim]"))
   }
 

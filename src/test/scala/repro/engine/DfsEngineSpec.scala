@@ -3,7 +3,7 @@ package repro.engine
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.graph.CSRGraph
-import repro.pattern.{Pattern, Patterns}
+import repro.pattern.{Pattern, PatternNames, Patterns}
 import repro.plan.Planner
 
 /** The core correctness matrix: every pattern × every fixture × both
@@ -14,7 +14,7 @@ import repro.plan.Planner
 class DfsEngineSpec extends AnyFunSuite {
 
   private val patterns: Seq[(String, Pattern)] =
-    (Patterns.motifs(3) ++ Patterns.motifs(4)).map(p => Patterns.nameOf(p) -> p) ++
+    (Patterns.motifs(3) ++ Patterns.motifs(4)).map(p => PatternNames.nameOf(p) -> p) ++
       Seq("5-clique" -> Patterns.clique(5), "5-path" -> Patterns.path(5), "4-star" -> Patterns.star(5))
 
   // ---- exhaustive cross-check vs naive matcher -----------------------
@@ -33,13 +33,11 @@ class DfsEngineSpec extends AnyFunSuite {
   private def allConfigs: Seq[(String, DfsConfig)] = Seq(
     "default" -> DfsConfig(),
     "no-orientation" -> DfsConfig(orientation = false),
-    "vertex-parallel" -> DfsConfig(edgeParallel = false),
-    "no-reduction" -> DfsConfig(edgelistReduction = false),
     "no-buffering" -> DfsConfig(buffering = false),
+    "pangolin-scan" -> DfsConfig(buffering = false, boundedMerges = false),
     "lgs" -> DfsConfig(lgs = true),
     "lgs-no-orient" -> DfsConfig(lgs = true, orientation = false),
-    "everything-off" -> DfsConfig(edgeParallel = false, orientation = false,
-      edgelistReduction = false, buffering = false),
+    "everything-off" -> DfsConfig(orientation = false, buffering = false),
   )
 
   for {
@@ -63,20 +61,27 @@ class DfsEngineSpec extends AnyFunSuite {
 
   test("LGS equals global search for all hub 4-motifs on pl-dense") {
     val g = TestGraphs.plDense
-    for (p <- Patterns.motifs(4).filter(_.isHubPattern); induced <- Seq(true, false)) {
+    for (p <- Patterns.motifs(4).filter(_.hubVertices.nonEmpty); induced <- Seq(true, false)) {
       val plan = Planner.plan(p, induced)
       val a = DfsEngine.runLocal(g, plan, DfsConfig(lgs = true))
       val b = DfsEngine.runLocal(g, plan, DfsConfig(lgs = false))
-      assert(a.count == b.count, s"${Patterns.nameOf(p)} induced=$induced")
+      assert(a.count == b.count, s"${PatternNames.nameOf(p)} induced=$induced")
     }
   }
 
   test("LGS respects the input-aware degree threshold") {
-    val g = TestGraphs.plDense
-    val plan = Planner.plan(Patterns.clique(4), induced = false)
-    // threshold 0 forbids LGS — must silently fall back and stay correct
-    val m = DfsEngine.runLocal(g, plan, DfsConfig(lgs = true, lgsMaxDegree = 0))
-    assert(m.count == NaiveMatcher.countUnique(g, Patterns.clique(4), induced = false))
+    // the wedge plan is hub-rooted with no (v0, v1) condition: LGS runs one
+    // vertex task per vertex, the global search one edge task per arc
+    val plan = Planner.plan(Patterns.wedge, induced = false)
+    assert(plan.hubRooted && plan.rootEdgeCond.isEmpty)
+    val small = DfsEngine.runLocal(TestGraphs.star8, plan, DfsConfig(lgs = true))
+    assert(small.count == 28 && small.tasks == TestGraphs.star8.n)
+    // a hub above the threshold forbids LGS: edge tasks run, still exact
+    val leaves = DfsEngine.LgsMaxDegree + 1
+    val g = TestGraphs.starGraph(leaves)
+    val m = DfsEngine.runLocal(g, plan, DfsConfig(lgs = true))
+    assert(m.count == leaves.toLong * (leaves - 1) / 2)
+    assert(m.tasks == g.numArcs)
   }
 
   // ---- counting-only fusion --------------------------------------------
@@ -140,17 +145,17 @@ class DfsEngineSpec extends AnyFunSuite {
   test("edgelist reduction halves tasks when a root condition exists") {
     val g = TestGraphs.plMild
     val plan = Planner.plan(Patterns.cycle4, induced = false)
-    val reduced = DfsEngine.runLocal(g, plan, DfsConfig(orientation = false))
-    val full = DfsEngine.runLocal(g, plan, DfsConfig(orientation = false, edgelistReduction = false))
-    if (plan.rootEdgeCond.isDefined) assert(reduced.tasks * 2 == full.tasks)
-    assert(reduced.count == full.count)
+    assert(plan.rootEdgeCond.isDefined)
+    val m = DfsEngine.runLocal(g, plan, DfsConfig(orientation = false))
+    assert(m.tasks == g.numEdges) // half the arcs
+    assert(m.count == NaiveMatcher.countUnique(g, Patterns.cycle4, induced = false))
   }
 
   test("perTaskWork sums near the run total and covers all tasks") {
     val g = TestGraphs.plMild
     for {
       (cfgName, cfg) <- allConfigs.filter(c =>
-        Set("default", "lgs", "vertex-parallel", "no-orientation", "no-reduction").contains(c._1))
+        Set("default", "lgs", "no-orientation", "pangolin-scan").contains(c._1))
       (pName, p, induced) <- Seq(("triangle", Patterns.triangle, false), ("diamond", Patterns.diamond, false),
         ("4-clique", Patterns.clique(4), false), ("4-cycle", Patterns.cycle4, false),
         ("3-star", Patterns.star(4), true))

@@ -29,7 +29,7 @@ object NaiveMatcher {
       while (j < i) {
         if (matched(j) == v) return false
         val need = p.isEdge(i, j)
-        val have = g.hasEdge(v, matched(j))
+        val have = hasEdge(g, v, matched(j))
         if (need && !have) return false
         if (induced && !need && have) return false
         j += 1
@@ -62,4 +62,8 @@ object NaiveMatcher {
     rec(0)
     cnt
   }
+
+  /** Edge test by binary search in u's sorted neighbor list. */
+  def hasEdge(g: CSRGraph, u: Int, v: Int): Boolean =
+    java.util.Arrays.binarySearch(g.nbrs, g.nbrStart(u), g.nbrEnd(u), v) >= 0
 }

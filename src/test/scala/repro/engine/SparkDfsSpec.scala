@@ -4,9 +4,9 @@ import repro.{SparkSpec, TestGraphs}
 import repro.pattern.Patterns
 import repro.plan.Planner
 
-/** Distributed path of the DFS engine: Dataset task distribution over the
-  * broadcast CSR must agree with the local interpreter and the naive
-  * matcher.
+/** Distributed path of the DFS engine: tasks shipped as an RDD from
+  * `parallelize` and run over the broadcast CSR must agree with the local
+  * interpreter and the naive matcher.
   */
 class SparkDfsSpec extends SparkSpec {
 

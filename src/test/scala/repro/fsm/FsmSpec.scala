@@ -65,9 +65,11 @@ object FsmRef {
 
 class FsmSpec extends SparkSpec {
 
+  private def labeledEdge(la: Int, lb: Int) = Patterns.fromEdges(2, Seq((0, 1)), Some(Vector(la, lb)))
+
   test("decodePattern round-trips canonical codes") {
     val ps = Seq(
-      Fsm.singleEdgePattern(2, 5),
+      labeledEdge(2, 5),
       Patterns.fromEdges(3, Seq((0, 1), (1, 2)), Some(Vector(1, 0, 1))),
       Patterns.fromEdges(4, Seq((0, 1), (1, 2), (2, 3)), Some(Vector(0, 1, 1, 2))),
       Patterns.fromEdges(3, Seq((0, 1), (1, 2), (0, 2)), Some(Vector(3, 3, 3))),
@@ -78,11 +80,6 @@ class FsmSpec extends SparkSpec {
       assert(back.canonicalCode == code)
       assert(back.isomorphicTo(p))
     }
-  }
-
-  test("singleEdgePattern sorts labels") {
-    assert(Fsm.singleEdgePattern(5, 2).labels.get == Vector(2, 5))
-    assert(Fsm.singleEdgePattern(2, 5).canonicalCode == Fsm.singleEdgePattern(5, 2).canonicalCode)
   }
 
   for (sigma <- Seq(1L, 2L, 3L, 5L))
@@ -120,7 +117,7 @@ class FsmSpec extends SparkSpec {
     // path 0-1-2 labeled A-B-A: pattern (A,B) has MNI = min(|{0,2}|, |{1}|) = 1
     val g = CSRGraph.fromEdges(3, Seq((0, 1), (1, 2)), Array(0, 1, 0))
     val res = Fsm.run(spark, g, Fsm.FsmConfig(minSupport = 1, maxEdges = 1))
-    val code = Fsm.singleEdgePattern(0, 1).canonicalCode
+    val code = labeledEdge(0, 1).canonicalCode
     assert(res.frequent(code) == 1)
   }
 
@@ -128,7 +125,7 @@ class FsmSpec extends SparkSpec {
     // triangle with equal labels: single-edge pattern (A,A) domain = all 3
     val g = CSRGraph.fromEdges(3, Seq((0, 1), (1, 2), (0, 2)), Array(7, 7, 7))
     val res = Fsm.run(spark, g, Fsm.FsmConfig(minSupport = 1, maxEdges = 1))
-    val code = Fsm.singleEdgePattern(7, 7).canonicalCode
+    val code = labeledEdge(7, 7).canonicalCode
     assert(res.frequent(code) == 3)
   }
 

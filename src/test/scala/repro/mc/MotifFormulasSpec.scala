@@ -2,7 +2,7 @@ package repro.mc
 
 import repro.{SparkSpec, TestGraphs}
 import repro.engine.{DfsConfig, DfsEngine, NaiveMatcher}
-import repro.pattern.Patterns
+import repro.pattern.{PatternNames, Patterns}
 import repro.plan.Planner
 
 class MotifFormulasSpec extends SparkSpec {
@@ -48,7 +48,7 @@ class MotifFormulasSpec extends SparkSpec {
     test(s"formula 3-motif counts == enumeration on $name") {
       val r = MotifFormulas.threeMotifs(g)
       for ((p, c) <- r.induced)
-        assert(c == NaiveMatcher.countUnique(g, p, induced = true), Patterns.nameOf(p))
+        assert(c == NaiveMatcher.countUnique(g, p, induced = true), PatternNames.nameOf(p))
     }
 
   for ((name, g) <- Seq("pl-skew" -> TestGraphs.plSkew, "pl-mild" -> TestGraphs.plMild,
@@ -57,7 +57,7 @@ class MotifFormulasSpec extends SparkSpec {
       val r = MotifFormulas.fourMotifs(spark, g)
       for ((p, c) <- r.induced)
         assert(c == NaiveMatcher.countUnique(g, p, induced = true),
-          s"${Patterns.nameOf(p)}: formula=$c")
+          s"${PatternNames.nameOf(p)}: formula=$c")
     }
 
   test("formula work is cheaper than full enumeration work (pl-dense)") {
@@ -70,10 +70,10 @@ class MotifFormulasSpec extends SparkSpec {
   }
 
   test("4-cycle primitive agrees with direct counting") {
-    for (g <- Seq(TestGraphs.plSkew, TestGraphs.grid34, TestGraphs.cyc9)) {
+    for ((name, g) <- TestGraphs.forMatching) {
       val (c4, _) = MotifFormulas.fourCyclesNonInduced(spark, g)
       val direct = NaiveMatcher.countUnique(g, Patterns.cycle4, induced = false)
-      assert(c4 == direct)
+      assert(c4 == direct, name)
     }
   }
 

@@ -26,7 +26,7 @@ class AnalyzerSpec extends AnyFunSuite {
     for (k <- Seq(3, 4); p <- Patterns.motifs(k); induced <- Seq(true, false)) {
       val so = Analyzer.analyze(p, induced)
       assert(Analyzer.condsValid(so.posPattern, so.conds),
-        s"invalid conds for ${Patterns.nameOf(p)} induced=$induced: ${so.conds}")
+        s"invalid conds for ${PatternNames.nameOf(p)} induced=$induced: ${so.conds}")
     }
   }
 

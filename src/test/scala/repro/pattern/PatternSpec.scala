@@ -7,7 +7,7 @@ class PatternSpec extends AnyFunSuite {
   test("triangle basics") {
     val t = Patterns.triangle
     assert(t.n == 3 && t.numEdges == 3)
-    assert(t.isClique && t.isConnected && t.isHubPattern)
+    assert(t.isClique && t.isConnected)
     assert(t.hubVertices == Vector(0, 1, 2))
   }
 
@@ -16,11 +16,11 @@ class PatternSpec extends AnyFunSuite {
     assert(d.numEdges == 5)
     assert(d.degree(0) == 3 && d.degree(1) == 3 && d.degree(2) == 2 && d.degree(3) == 2)
     assert(d.hubVertices == Vector(0, 1))
-    assert(!d.isClique && d.isHubPattern)
+    assert(!d.isClique)
   }
 
   test("cycle4 is not a hub pattern") {
-    assert(!Patterns.cycle4.isHubPattern)
+    assert(Patterns.cycle4.hubVertices.isEmpty)
     assert(Patterns.cycle4.numEdges == 4)
   }
 
@@ -102,7 +102,7 @@ class PatternSpec extends AnyFunSuite {
   }
 
   test("withEdge grows patterns") {
-    val e = Patterns.edge
+    val e = Patterns.clique(2)
     val w = e.withEdge(0, 2)
     assert(w.n == 3 && w.numEdges == 2)
     assert(w.isomorphicTo(Patterns.wedge))
@@ -122,7 +122,7 @@ class PatternSpec extends AnyFunSuite {
     assert(ms.size == 6)
     val expected = Seq(Patterns.path(4), Patterns.star(4), Patterns.cycle4,
       Patterns.tailedTriangle, Patterns.diamond, Patterns.clique(4))
-    for (e <- expected) assert(ms.exists(_.isomorphicTo(e)), s"missing ${Patterns.nameOf(e)}")
+    for (e <- expected) assert(ms.exists(_.isomorphicTo(e)), s"missing ${PatternNames.nameOf(e)}")
   }
 
   test("motifs(5) has 21 members") {
@@ -140,9 +140,9 @@ class PatternSpec extends AnyFunSuite {
   }
 
   test("nameOf covers the catalog") {
-    assert(Patterns.nameOf(Patterns.diamond) == "diamond")
-    assert(Patterns.nameOf(Patterns.clique(5)) == "5-clique")
-    assert(Patterns.nameOf(Patterns.cycle4) == "4-cycle")
+    assert(PatternNames.nameOf(Patterns.diamond) == "diamond")
+    assert(PatternNames.nameOf(Patterns.clique(5)) == "5-clique")
+    assert(PatternNames.nameOf(Patterns.cycle4) == "4-cycle")
   }
 
   test("edges listing is canonical (u < v)") {
@@ -150,7 +150,7 @@ class PatternSpec extends AnyFunSuite {
   }
 
   test("hub detection across all 4-motifs") {
-    val hubs = Patterns.motifs(4).filter(_.isHubPattern).map(Patterns.nameOf).toSet
+    val hubs = Patterns.motifs(4).filter(_.hubVertices.nonEmpty).map(PatternNames.nameOf).toSet
     assert(hubs == Set("3-star", "tailed-tri", "diamond", "4-clique"))
   }
 }

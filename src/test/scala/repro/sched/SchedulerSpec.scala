@@ -11,22 +11,19 @@ class SchedulerSpec extends AnyFunSuite {
   }
 
   test("round-robin interleaves") {
-    val a = Scheduler.assign(10, 3, Scheduler.RoundRobin)
+    val a = Scheduler.assign(10, 3, Scheduler.ChunkedRoundRobin(1))
     assert(a.toSeq == Seq(0, 1, 2, 0, 1, 2, 0, 1, 2, 0))
   }
 
   test("chunked round-robin generalizes both policies") {
     val m = 12
-    val rr = Scheduler.assign(m, 3, Scheduler.RoundRobin)
-    val c1 = Scheduler.assign(m, 3, Scheduler.ChunkedRoundRobin(1))
-    assert(rr.toSeq == c1.toSeq)
     val even = Scheduler.assign(m, 3, Scheduler.EvenSplit)
     val cBig = Scheduler.assign(m, 3, Scheduler.ChunkedRoundRobin(m / 3))
     assert(even.toSeq == cBig.toSeq)
   }
 
   test("every task is assigned to a valid device") {
-    for (n <- 1 to 8; policy <- Seq(Scheduler.EvenSplit, Scheduler.RoundRobin,
+    for (n <- 1 to 8; policy <- Seq(Scheduler.EvenSplit, Scheduler.ChunkedRoundRobin(1),
       Scheduler.ChunkedRoundRobin(7))) {
       val a = Scheduler.assign(123, n, policy)
       assert(a.forall(d => d >= 0 && d < n))
@@ -61,7 +58,7 @@ class SchedulerSpec extends AnyFunSuite {
 
   test("per-device work sums to total work") {
     val work = Array.tabulate(1000)(i => (i % 17).toLong + 1)
-    for (policy <- Seq(Scheduler.EvenSplit, Scheduler.RoundRobin, Scheduler.ChunkedRoundRobin(13))) {
+    for (policy <- Seq(Scheduler.EvenSplit, Scheduler.ChunkedRoundRobin(1), Scheduler.ChunkedRoundRobin(13))) {
       val out = Scheduler.simulate(work, 5, policy, 1e6)
       assert(out.perDeviceWork.sum == work.sum)
     }
@@ -69,13 +66,13 @@ class SchedulerSpec extends AnyFunSuite {
 
   test("makespan is the max per-device time") {
     val work = Array.fill(100)(10L)
-    val out = Scheduler.simulate(work, 4, Scheduler.RoundRobin, 1e3)
+    val out = Scheduler.simulate(work, 4, Scheduler.ChunkedRoundRobin(1), 1e3)
     assert(out.makespanSeconds == out.perDeviceSeconds.max)
   }
 
   test("paperChunkSize clamps so every device gets multiple chunks") {
     assert(Scheduler.paperChunkSize(10, 512) == 1)
     assert(Scheduler.paperChunkSize(100000, 512) == 1024)
-    assert(Scheduler.paperChunkSize(4096, 512, devices = 8) == 128)
+    assert(Scheduler.paperChunkSize(4096, 512) == 128)
   }
 }
