@@ -3,8 +3,16 @@ package repro.bench
 import repro.SparkSpec
 import repro.cost.CostModel.Sim
 
-/** Tiny-scale smoke runs of every table runner: structure, count sanity
-  * and cross-system invariants. Full-scale numbers come from bench/.
+/** Tiny-scale smoke runs of every table runner: structure, count sanity,
+  * cross-system invariants and the golden rendered output. Full-scale
+  * numbers come from bench/.
+  *
+  * The golden file `src/test/resources/tables-tiny.txt` is the rendered
+  * output of `table4`…`table9` and `multigpu` with `Tables.tinyLoader`, each
+  * followed by a newline, as `TableJob` prints them. When the output
+  * differs, the golden test writes the new rendering to
+  * `target/tables-tiny.txt`; to regenerate after an intended change of
+  * `[sim]` cells, copy that file over the golden one.
   */
 class TablesSpec extends SparkSpec {
 
@@ -15,6 +23,7 @@ class TablesSpec extends SparkSpec {
   private lazy val t7 = Tables.table7(spark, Tables.tinyLoader)
   private lazy val t8 = Tables.table8(spark, Tables.tinyLoader)
   private lazy val t9 = Tables.table9(spark, Tables.tinyLoader)
+  private lazy val multiGpu = Tables.multiGpuScaling(spark, Tables.tinyLoader)
 
   private def allDefined(t: TableResult): Unit =
     for (s <- t.systems; c <- t.columns)
@@ -70,7 +79,7 @@ class TablesSpec extends SparkSpec {
   }
 
   test("multi-GPU scaling tiny smoke: chunked RR reaches better 8-GPU speedup") {
-    val (rows, rendered) = Tables.multiGpuScaling(spark, Tables.tinyLoader)
+    val (rows, rendered) = multiGpu
     val even8 = rows.find(r => r.n == 8 && r.policy == "even-split").get.speedup
     val chunk8 = rows.find(r => r.n == 8 && r.policy == "chunked-rr").get.speedup
     assert(chunk8 >= even8)
@@ -80,6 +89,18 @@ class TablesSpec extends SparkSpec {
   test("render produces a readable table with paper rows") {
     val out = t4.render
     assert(out.contains("G2Miner") && out.contains("[paper]") && out.contains("[sim]"))
+  }
+
+  test("rendered tiny tables equal the golden file byte for byte") {
+    val rendered = (Seq(t4, t5, t6, t7, t8, t9).map(_.render) :+ multiGpu._2).map(_ + "\n").mkString
+    val golden = {
+      val src = scala.io.Source.fromResource("tables-tiny.txt", getClass.getClassLoader)("UTF-8")
+      try src.mkString finally src.close()
+    }
+    if (rendered != golden) {
+      java.nio.file.Files.writeString(java.nio.file.Paths.get("target", "tables-tiny.txt"), rendered)
+      fail("rendered tiny tables differ from tables-tiny.txt; new rendering written to target/tables-tiny.txt")
+    }
   }
 
   test("paper numbers tables are complete") {
