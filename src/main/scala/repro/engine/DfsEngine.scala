@@ -3,6 +3,7 @@ package repro.engine
 import org.apache.spark.sql.SparkSession
 import repro.graph.CSRGraph
 import repro.plan.{Planner, SearchPlan}
+import repro.sched.Scheduler
 import repro.setops.{SetOps, WorkCounter}
 
 /** Configuration knobs mirroring the paper's optimization letters (Table 2).
@@ -52,9 +53,10 @@ final case class Metrics(
   )
 }
 
-/** Single-threaded plan interpreter, one instance per Spark partition.
-  * This is the analog of a generated CUDA kernel: the nested DFS loops,
-  * set primitives, symmetry bounds and buffer reuse of §5/§6, driven by a
+/** Single-threaded plan interpreter, one instance per Spark partition,
+  * which runs that partition's slots of the canonical task order. This is
+  * the analog of a generated CUDA kernel: the nested DFS loops, set
+  * primitives, symmetry bounds and buffer reuse of §5/§6, driven by a
   * [[SearchPlan]] instead of generated source.
   *
   * Memory per instance, beyond the shared graph, is `(k + 1) × max(1,
@@ -240,14 +242,26 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     lvl(i + 1) += n * (n - 1) / 2
   }
 
-  /** Run one task: a vertex ([[PlanExecutor.vertexTask]]) in LGS mode, an
-    * edge ([[PlanExecutor.edgeTask]]) otherwise. The single dispatch site
-    * of the engine.
+  private val rootCond = plan.rootEdgeCond
+  private var owner = 0 // source vertex of the last arc slot run
+
+  /** Run slot `s` of the canonical task order, the engine's single
+    * dispatch site: vertex `s` in LGS mode, else arc `s = (u, v)` of `g`.
+    * Without a root condition every arc is a task; under one, only arcs
+    * with `u < v`, oriented to satisfy it up front (opt J). Slots run
+    * cheapest in increasing order: the arc's owner is walked forward.
     */
-  def runTask(t: Long): Unit = {
-    val v0 = (t >>> 32).toInt
-    if (lgsMode) runLgsTask(v0) else runEdgeTask(v0, (t & 0xffffffffL).toInt)
-  }
+  def runSlot(s: Int): Unit =
+    if (lgsMode) runLgsTask(s)
+    else {
+      if (s < g.offsets(owner)) owner = 0
+      while (g.offsets(owner + 1) <= s) owner += 1
+      val u = owner; val v = g.nbrs(s)
+      rootCond match {
+        case None => runEdgeTask(u, v)
+        case Some(lowFirst) => if (u < v) { if (lowFirst) runEdgeTask(u, v) else runEdgeTask(v, u) }
+      }
+    }
 
   private def resetTask(): Unit = java.util.Arrays.fill(candStored, false)
 
@@ -284,22 +298,18 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
   def metrics: Metrics = Metrics(count, wc.ops, lvl.clone(), tasksRun, savedWork)
 }
 
-object PlanExecutor {
-  def edgeTask(v0: Int, v1: Int): Long = (v0.toLong << 32) | v1.toLong
-  def vertexTask(v0: Int): Long = v0.toLong << 32
-}
-
-/** The G²Miner execution engine on Spark: tasks are an RDD built with
-  * `parallelize`; each partition interprets the pattern's search plan over
-  * a broadcast CSR graph. Counts are exact; metrics feed the
-  * simulated-device cost model and the multi-GPU scheduler.
+/** The G²Miner execution engine on Spark: each partition derives its
+  * round-robin stripe of the canonical task order ([[PlanExecutor.runSlot]])
+  * and interprets the pattern's search plan over a broadcast CSR graph.
+  * Counts are exact; metrics feed the simulated-device cost model and the
+  * multi-GPU scheduler.
   */
 object DfsEngine {
 
   /** The effective search after the input- and pattern-aware
-    * optimizations, with its task list.
+    * optimizations, with its slot count.
     */
-  private final case class Prepared(graph: CSRGraph, plan: SearchPlan, lgs: Boolean, tasks: Array[Long])
+  private final case class Prepared(graph: CSRGraph, plan: SearchPlan, lgs: Boolean, slots: Int)
 
   /** Input-aware LGS threshold (opt E): on an input whose maximum degree
     * exceeds it, LGS is skipped and the search stays global. An LGS task
@@ -311,33 +321,18 @@ object DfsEngine {
   val LgsMaxDegree = 4096
 
   /** Orientation rewrites clique plans onto the DAG (opt A); LGS switches
-    * hub patterns to vertex-rooted local search (opt E). Otherwise tasks
-    * are edges: under a (v0, v1) symmetry condition one per undirected
-    * edge, oriented to satisfy it up front (opt J); without one, every
-    * arc. The oriented clique plan has no conditions, so it takes every
-    * DAG arc.
+    * hub patterns to vertex-rooted local search (opt E), one slot per
+    * vertex. Otherwise there is one slot per arc, and the tasks are edges:
+    * under a (v0, v1) symmetry condition one per undirected edge (opt J);
+    * without one, every arc. The oriented clique plan has no conditions, so
+    * it takes every DAG arc.
     */
   private def prepare(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig): Prepared = {
     val orient = cfg.orientation && plan.pattern.isClique && !plan.induced
     val graph = if (orient) g.oriented else g
     val planX = if (orient) Planner.orientedCliquePlan(plan.k) else plan
     val useLgs = cfg.lgs && planX.hubRooted && graph.maxDegree <= LgsMaxDegree && planX.k >= 3
-    val tasks =
-      if (useLgs) Array.tabulate(graph.n)(PlanExecutor.vertexTask)
-      else {
-        val cond = planX.rootEdgeCond
-        val out = Array.newBuilder[Long]
-        for (u <- 0 until graph.n; i <- graph.offsets(u) until graph.offsets(u + 1)) {
-          val v = graph.nbrs(i)
-          cond match {
-            case None => out += PlanExecutor.edgeTask(u, v)
-            case Some(lowFirst) =>
-              if (u < v) out += (if (lowFirst) PlanExecutor.edgeTask(u, v) else PlanExecutor.edgeTask(v, u))
-          }
-        }
-        out.result()
-      }
-    Prepared(graph, planX, useLgs, tasks)
+    Prepared(graph, planX, useLgs, if (useLgs) graph.n else graph.numArcs)
   }
 
   /** Level 0 of the search tree is every vertex of the input graph. */
@@ -346,61 +341,43 @@ object DfsEngine {
     m.copy(levelNodes = l)
   }
 
-  /** Run the plan on Spark. The driver holds the whole task array, one
-    * `Long` per task (an arc, an undirected edge or a vertex), and ships it
-    * to the executors with `parallelize`.
+  /** Run the plan on Spark: partition p of P = `defaultParallelism` runs
+    * slots p, p + P, … of the canonical task order (chunked round-robin
+    * with chunk 1, §7.1), deriving each task from the broadcast graph. The
+    * driver holds no task list.
     */
   def run(spark: SparkSession, g: CSRGraph, plan: SearchPlan, cfg: DfsConfig = DfsConfig()): Metrics = {
     // unpacked so that the task closure captures the plan, not the graph
-    val Prepared(graph, planX, useLgs, tasks) = prepare(g, plan, cfg)
-    // Deterministic driver-side shuffle: spreads hub-rooted (heavy) tasks
-    // across partitions without paying a Spark shuffle — the single-node
-    // stand-in for the chunked round-robin device scheduler (§7.1).
-    shuffleInPlace(tasks, seed = 0x5eed)
-    val parallelism = math.max(1, spark.sparkContext.defaultParallelism)
-    val bc = spark.sparkContext.broadcast(graph)
-    try {
-      val m = spark.sparkContext.parallelize(tasks.toIndexedSeq, parallelism)
-        .mapPartitions { it =>
-          val ex = new PlanExecutor(bc.value, planX, cfg, useLgs)
-          it.foreach(ex.runTask)
-          Iterator.single(ex.metrics)
-        }.reduce(_ combine _)
-      withRoots(m, g)
-    } finally {
-      bc.destroy()
-    }
+    val Prepared(graph, planX, useLgs, slots) = prepare(g, plan, cfg)
+    val m = Scheduler.roundRobinStripes(spark.sparkContext, graph, slots) { (gg, stripe) =>
+      val ex = new PlanExecutor(gg, planX, cfg, useLgs)
+      stripe.foreach(ex.runSlot)
+      ex.metrics
+    }(_ combine _)
+    withRoots(m, g)
   }
 
-  private def shuffleInPlace(a: Array[Long], seed: Long): Unit = {
-    val rnd = new java.util.Random(seed)
-    var i = a.length - 1
-    while (i > 0) {
-      val j = rnd.nextInt(i + 1)
-      val t = a(i); a(i) = a(j); a(j) = t
-      i -= 1
-    }
-  }
-
-  /** Per-task set-op work, indexed like the task array — the scheduler's
-    * input (§7.1). Runs single-node on the driver for exact per-task
-    * attribution (bench graphs are small).
+  /** Per-task set-op work in canonical task order (slots 0…m−1, no-op
+    * slots skipped) — the scheduler's input (§7.1). Runs single-node on the
+    * driver for exact per-task attribution (bench graphs are small).
     */
   def perTaskWork(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig = DfsConfig()): Array[Long] = {
     val p = prepare(g, plan, cfg)
     val ex = new PlanExecutor(p.graph, p.plan, cfg, p.lgs)
-    p.tasks.map { t =>
-      val before = ex.wc.ops
-      ex.runTask(t)
-      (ex.wc.ops - before) + 1 // +1: task launch floor
+    val out = Array.newBuilder[Long]
+    for (s <- 0 until p.slots) {
+      val (tasks, work) = (ex.tasksRun, ex.wc.ops)
+      ex.runSlot(s)
+      if (ex.tasksRun > tasks) out += (ex.wc.ops - work) + 1 // +1: task launch floor
     }
+    out.result()
   }
 
   /** Convenience: local (non-Spark) run for tests and metric derivation. */
   def runLocal(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig = DfsConfig()): Metrics = {
     val p = prepare(g, plan, cfg)
     val ex = new PlanExecutor(p.graph, p.plan, cfg, p.lgs)
-    p.tasks.foreach(ex.runTask)
+    (0 until p.slots).foreach(ex.runSlot)
     withRoots(ex.metrics, g)
   }
 }

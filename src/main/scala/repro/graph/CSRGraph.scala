@@ -5,6 +5,9 @@ package repro.graph
   * set primitives and symmetry-break early exit apply. Broadcast to
   * executors by the engines.
   *
+  * The constructor checks the O(n) structure of the arrays; [[validate]]
+  * checks the O(|E|) list invariants every engine assumes.
+  *
   * @param labels vertex labels for FSM graphs (empty array = unlabeled)
   */
 final class CSRGraph(
@@ -13,7 +16,21 @@ final class CSRGraph(
     val nbrs: Array[Int],
     val labels: Array[Int],
 ) extends Serializable {
-  require(offsets.length == n + 1)
+  require(offsets.length == n + 1, s"offsets has ${offsets.length} entries, expected n + 1 = ${n + 1}")
+  require(offsets(0) == 0, s"offsets(0) = ${offsets(0)}, expected 0")
+  require((0 until n).forall(v => offsets(v) <= offsets(v + 1)), "offsets decrease")
+  require(offsets(n) == nbrs.length, s"offsets(n) = ${offsets(n)}, but nbrs has ${nbrs.length} entries")
+  require(labels.isEmpty || labels.length == n, s"${labels.length} labels for $n vertices")
+
+  /** Checks that every neighbor list is strictly ascending and every id is
+    * in [0, n). O(|E|); `fromEdges`, `oriented` and `localGraph` hold it by
+    * construction, so it is for graphs built from raw arrays.
+    */
+  def validate(): Unit =
+    for (v <- 0 until n; i <- offsets(v) until offsets(v + 1)) {
+      require(nbrs(i) >= 0 && nbrs(i) < n, s"neighbor ${nbrs(i)} of vertex $v out of range for n = $n")
+      require(i == offsets(v) || nbrs(i - 1) < nbrs(i), s"neighbor list of vertex $v not strictly ascending")
+    }
 
   def numEdges: Long = nbrs.length / 2L // undirected: each edge stored twice
   def numArcs: Int = nbrs.length

@@ -3,6 +3,7 @@ package repro.mc
 import org.apache.spark.sql.SparkSession
 import repro.graph.CSRGraph
 import repro.pattern.{Pattern, Patterns}
+import repro.sched.Scheduler
 import repro.setops.{SetOps, WorkCounter}
 
 /** Counting-only pruning via pattern decomposition (optimization D, §5.4):
@@ -12,7 +13,8 @@ import repro.setops.{SetOps, WorkCounter}
   * counts to *induced* motif counts with an inversion matrix that is
   * derived and exactly inverted in code (ESCAPE-style [82]). The 4-cycle
   * primitive is the one Spark job, a shuffle-free pass over the broadcast
-  * CSR; the other primitives run in the calling thread.
+  * CSR with the engine's round-robin placement; the other primitives run
+  * in the calling thread.
   */
 object MotifFormulas {
 
@@ -100,46 +102,42 @@ object MotifFormulas {
 
   /** Non-induced 4-cycle count: every 4-cycle has two "diagonal" vertex
     * pairs; a pair (u, w) with c common neighbors closes C(c, 2) cycles
-    * (ESCAPE, Pinar et al., WWW 2017). One Spark job with no shuffle: each
-    * partition takes a range of vertices u of the broadcast CSR, counts the
-    * wedges u–v–w with w > u per end w, and adds C(count, 2), so every
-    * diagonal pair is seen once, at its lower end. A partition holds two
-    * `Int` arrays of n entries. Returns (4-cycles, total wedges).
+    * (ESCAPE, Pinar et al., WWW 2017). One Spark job with no shuffle over
+    * the broadcast CSR: vertices u are placed round-robin, as the cost of u
+    * falls with its id. For each u a partition counts the wedges u–v–w with
+    * w > u per end w and adds C(count, 2), so every diagonal pair is seen
+    * once, at its lower end. A partition holds two `Int` arrays of n
+    * entries. Returns (4-cycles, total wedges).
     */
   def fourCyclesNonInduced(spark: SparkSession, g: CSRGraph): (Long, Long) = {
-    val sc = spark.sparkContext
-    val bc = sc.broadcast(g)
-    val diagonals = try {
-      sc.parallelize(0 until g.n, math.max(1, sc.defaultParallelism)).mapPartitions { us =>
-        val gg = bc.value
-        val cnt = new Array[Int](gg.n)
-        val touched = new Array[Int](gg.n)
-        var sum = 0L
-        us.foreach { u =>
-          var nt = 0
-          var i = gg.nbrStart(u)
-          while (i < gg.nbrEnd(u)) {
-            val v = gg.nbrs(i)
-            // neighbor lists are sorted: walk N(v) down while w > u
-            var j = gg.nbrEnd(v) - 1
-            while (j >= gg.nbrStart(v) && gg.nbrs(j) > u) {
-              val w = gg.nbrs(j)
-              if (cnt(w) == 0) { touched(nt) = w; nt += 1 }
-              cnt(w) += 1
-              j -= 1
-            }
-            i += 1
+    val diagonals = Scheduler.roundRobinStripes(spark.sparkContext, g, g.n) { (gg, us) =>
+      val cnt = new Array[Int](gg.n)
+      val touched = new Array[Int](gg.n)
+      var sum = 0L
+      us.foreach { u =>
+        var nt = 0
+        var i = gg.nbrStart(u)
+        while (i < gg.nbrEnd(u)) {
+          val v = gg.nbrs(i)
+          // neighbor lists are sorted: walk N(v) down while w > u
+          var j = gg.nbrEnd(v) - 1
+          while (j >= gg.nbrStart(v) && gg.nbrs(j) > u) {
+            val w = gg.nbrs(j)
+            if (cnt(w) == 0) { touched(nt) = w; nt += 1 }
+            cnt(w) += 1
+            j -= 1
           }
-          while (nt > 0) {
-            nt -= 1
-            val w = touched(nt)
-            sum += cnt(w).toLong * (cnt(w) - 1) / 2
-            cnt(w) = 0
-          }
+          i += 1
         }
-        Iterator.single(sum)
-      }.reduce(_ + _)
-    } finally bc.destroy()
+        while (nt > 0) {
+          nt -= 1
+          val w = touched(nt)
+          sum += cnt(w).toLong * (cnt(w) - 1) / 2
+          cnt(w) = 0
+        }
+      }
+      sum
+    }(_ + _)
     val totalWedges = (0 until g.n).map(v => g.deg(v).toLong * (g.deg(v) - 1) / 2).sum
     (diagonals / 2, totalWedges)
   }

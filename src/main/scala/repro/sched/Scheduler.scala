@@ -1,9 +1,13 @@
 package repro.sched
 
+import org.apache.spark.SparkContext
+import scala.reflect.ClassTag
+
 /** Multi-GPU task scheduling (§7.1), simulated over *measured* per-task
   * work. A task is one edge (or vertex) subtree of the DFS search; the
   * engines report each task's exact set-op work, so policy quality — the
-  * paper's Fig. 8/9/10 story — is a pure function of the assignment.
+  * paper's Fig. 8/9/10 story — is a pure function of the assignment. The
+  * Spark passes over a broadcast graph place their tasks by one of them.
   */
 object Scheduler {
 
@@ -34,6 +38,20 @@ object Scheduler {
         while (i < m) { out(i) = (i / c) % n; i += 1 }
     }
     out
+  }
+
+  /** Runs `slots` tasks on Spark by `ChunkedRoundRobin(1)` over P =
+    * `defaultParallelism` partitions: partition p runs slots p, p + P, …,
+    * in increasing order, as `part(shared, stripe)` over a broadcast of
+    * `shared`, so the driver holds no task data. Results are combined with
+    * `combine`; the broadcast is destroyed on success and on failure.
+    */
+  def roundRobinStripes[G: ClassTag, R: ClassTag](sc: SparkContext, shared: G, slots: Int)(
+      part: (G, Range) => R)(combine: (R, R) => R): R = {
+    val p = math.max(1, sc.defaultParallelism)
+    val bc = sc.broadcast(shared)
+    try sc.parallelize(0 until p, p).map(i => part(bc.value, i until slots by p)).reduce(combine)
+    finally bc.destroy()
   }
 
   // §7.1: chunk multiplier α; devices of the paper's multi-GPU runs (Figs. 8–10)

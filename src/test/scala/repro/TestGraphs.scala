@@ -4,18 +4,21 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import repro.graph.{CSRGraph, SynthGraphs}
 
 /** Shared small graph fixtures for cross-checking engines against the
-  * naive matcher and the DuckDB oracle. All deterministic.
+  * naive matcher and the DuckDB oracle. All deterministic, and each one
+  * passes `CSRGraph.validate()` when it is first built.
   */
 object TestGraphs {
-  lazy val k7: CSRGraph = completeGraph(7)
-  lazy val cyc9: CSRGraph = cycle(9)
-  lazy val star8: CSRGraph = starGraph(8)
-  lazy val grid34: CSRGraph = grid(3, 4)
-  lazy val plSkew: CSRGraph = SynthGraphs.powerLaw(60, 150, 0.8, seed = 1)
-  lazy val plMild: CSRGraph = SynthGraphs.powerLaw(100, 300, 0.5, seed = 2)
-  lazy val plDense: CSRGraph = SynthGraphs.powerLaw(40, 220, 0.6, seed = 3)
-  lazy val labeled: CSRGraph = SynthGraphs.powerLaw(80, 200, 0.6, seed = 4, numLabels = 4)
-  lazy val labeledTiny: CSRGraph = SynthGraphs.powerLaw(18, 30, 0.5, seed = 5, numLabels = 3)
+  lazy val k7: CSRGraph = checked(completeGraph(7))
+  lazy val cyc9: CSRGraph = checked(cycle(9))
+  lazy val star8: CSRGraph = checked(starGraph(8))
+  lazy val grid34: CSRGraph = checked(grid(3, 4))
+  lazy val plSkew: CSRGraph = checked(SynthGraphs.powerLaw(60, 150, 0.8, seed = 1))
+  lazy val plMild: CSRGraph = checked(SynthGraphs.powerLaw(100, 300, 0.5, seed = 2))
+  lazy val plDense: CSRGraph = checked(SynthGraphs.powerLaw(40, 220, 0.6, seed = 3))
+  lazy val labeled: CSRGraph = checked(SynthGraphs.powerLaw(80, 200, 0.6, seed = 4, numLabels = 4))
+  lazy val labeledTiny: CSRGraph = checked(SynthGraphs.powerLaw(18, 30, 0.5, seed = 5, numLabels = 3))
+
+  def checked(g: CSRGraph): CSRGraph = { g.validate(); g }
 
   /** Fixtures for engine cross-checks (name, graph). */
   def forMatching: Seq[(String, CSRGraph)] = Seq(
@@ -59,7 +62,7 @@ object TestGraphs {
       val p = partIds.getOrElseUpdate(r.getLong(1), partIds.size)
       (o, nOrders + p)
     }.toIndexedSeq
-    CSRGraph.fromEdges(nOrders + partIds.size, es)
+    checked(CSRGraph.fromEdges(nOrders + partIds.size, es))
   }
 
   /** Canonical edge DataFrame (src < dst) for the BFS engine / oracle. */

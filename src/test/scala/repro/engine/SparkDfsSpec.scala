@@ -1,14 +1,39 @@
 package repro.engine
 
 import repro.{SparkSpec, TestGraphs}
+import repro.graph.CSRGraph
 import repro.pattern.Patterns
 import repro.plan.Planner
 
-/** Distributed path of the DFS engine: tasks shipped as an RDD from
-  * `parallelize` and run over the broadcast CSR must agree with the local
-  * interpreter and the naive matcher.
+/** Distributed path of the DFS engine: each partition runs its
+  * round-robin stripe of the canonical task order over the broadcast CSR,
+  * and the result must agree with the local interpreter (every `Metrics`
+  * field) and the naive matcher. The configs are the three `Tables` runs
+  * (G²Miner with LGS, the baseline and the Pangolin scan); the graphs
+  * include stripes that are uneven or empty.
   */
 class SparkDfsSpec extends SparkSpec {
+
+  private val configs = Seq(
+    "g2miner-lgs" -> DfsConfig(lgs = true),
+    "baseline" -> DfsConfig(orientation = false, lgs = false),
+    "pangolin-scan" -> DfsConfig(buffering = false, boundedMerges = false, lgs = false),
+  )
+
+  /** pl-skew with vertex 0, a middle vertex and vertex n − 1 isolated. */
+  private val withIsolated: CSRGraph = {
+    val g = TestGraphs.plSkew
+    val mid = g.n / 2
+    def id(v: Int) = if (v < mid) v + 1 else v + 2
+    CSRGraph.fromEdges(g.n + 3, g.canonicalEdges.toSeq.map(e => (id((e >>> 32).toInt), id(e.toInt))))
+  }
+
+  private val graphs = Seq(
+    "pl-mild" -> TestGraphs.plMild,
+    "isolated-ends" -> withIsolated,
+    "one-edge" -> CSRGraph.fromEdges(2, Seq((0, 1))),
+    "empty" -> CSRGraph.fromEdges(0, Nil),
+  )
 
   for {
     (pName, p, induced) <- Seq(
@@ -21,15 +46,18 @@ class SparkDfsSpec extends SparkSpec {
       ("tailed-tri-induced", Patterns.tailedTriangle, true),
     )
   } test(s"Spark run == local run == naive: $pName") {
-    val g = TestGraphs.plMild
     val plan = Planner.plan(p, induced)
-    val dist = DfsEngine.run(spark, g, plan, DfsConfig())
-    val local = DfsEngine.runLocal(g, plan, DfsConfig())
-    assert(dist.count == local.count)
-    assert(dist.count == NaiveMatcher.countUnique(g, p, induced))
-    assert(dist.setOpWork == local.setOpWork)
-    assert(dist.levelNodes.toSeq == local.levelNodes.toSeq)
-    assert(dist.tasks == local.tasks)
+    for ((gName, g) <- graphs; (cName, cfg) <- configs) {
+      val dist = DfsEngine.run(spark, g, plan, cfg)
+      val local = DfsEngine.runLocal(g, plan, cfg)
+      val clue = s"$gName $cName"
+      assert(dist.count == NaiveMatcher.countUnique(g, p, induced), clue)
+      assert(dist.count == local.count, clue)
+      assert(dist.setOpWork == local.setOpWork, clue)
+      assert(dist.levelNodes.toSeq == local.levelNodes.toSeq, clue)
+      assert(dist.tasks == local.tasks, clue)
+      assert(dist.bufferSavedWork == local.bufferSavedWork, clue)
+    }
   }
 
   test("Spark run with LGS agrees on hub patterns") {

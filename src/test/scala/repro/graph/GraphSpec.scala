@@ -19,6 +19,24 @@ class GraphSpec extends AnyFunSuite {
     assert(!hasEdge(g, 0, 2))
   }
 
+  test("malformed CSR arrays are rejected by the constructor or validate()") {
+    val cases = Seq[(String, () => Unit)](
+      "offsets length" -> (() => new CSRGraph(3, Array(0, 1, 2), Array(1, 0), Array.empty)),
+      "offsets(0) != 0" -> (() => new CSRGraph(2, Array(1, 1, 2), Array(1, 0), Array.empty)),
+      "offsets decrease" -> (() => new CSRGraph(3, Array(0, 2, 1, 2), Array(1, 0), Array.empty)),
+      "offsets(n) != nbrs.length" -> (() => new CSRGraph(2, Array(0, 1, 2), Array(1), Array.empty)),
+      "labels of the wrong length" -> (() => new CSRGraph(2, Array(0, 1, 2), Array(1, 0), Array(0))),
+      "id below range" -> (() => new CSRGraph(2, Array(0, 1, 2), Array(-1, 0), Array.empty).validate()),
+      "id past range" -> (() => new CSRGraph(2, Array(0, 1, 2), Array(2, 0), Array.empty).validate()),
+      "list not ascending" -> (() => new CSRGraph(3, Array(0, 2, 3, 4), Array(2, 1, 0, 0), Array.empty).validate()),
+      "duplicate neighbor" -> (() => new CSRGraph(2, Array(0, 2, 2), Array(1, 1), Array.empty).validate()),
+    )
+    for ((name, build) <- cases)
+      withClue(name)(intercept[IllegalArgumentException](build()))
+    new CSRGraph(2, Array(0, 1, 2), Array(1, 0), Array(0, 1)).validate()
+    new CSRGraph(0, Array(0), Array.empty, Array.empty).validate()
+  }
+
   test("degrees and max degree") {
     val s = TestGraphs.star8
     assert(s.deg(0) == 8 && s.maxDegree == 8)
@@ -127,6 +145,7 @@ class GraphSpec extends AnyFunSuite {
     import DataGraphs._
     for (s <- Seq(lj, or, tw2, tw4, fr, uk, mi, pa, yo)) {
       val g = DataGraphs.tiny(s)
+      g.validate()
       assert(g.n <= s.n && g.numEdges > 0)
       if (s.labels > 0) assert(g.labeled)
     }
