@@ -25,14 +25,15 @@ class SparkDfsSpec extends SparkSpec {
     val g = TestGraphs.plSkew
     val mid = g.n / 2
     def id(v: Int) = if (v < mid) v + 1 else v + 2
-    CSRGraph.fromEdges(g.n + 3, g.canonicalEdges.toSeq.map(e => (id((e >>> 32).toInt), id(e.toInt))))
+    TestGraphs.checked(
+      CSRGraph.fromEdges(g.n + 3, g.canonicalEdges.toSeq.map(e => (id((e >>> 32).toInt), id(e.toInt)))))
   }
 
   private val graphs = Seq(
     "pl-mild" -> TestGraphs.plMild,
     "isolated-ends" -> withIsolated,
-    "one-edge" -> CSRGraph.fromEdges(2, Seq((0, 1))),
-    "empty" -> CSRGraph.fromEdges(0, Nil),
+    "one-edge" -> TestGraphs.checked(CSRGraph.fromEdges(2, Seq((0, 1)))),
+    "empty" -> TestGraphs.checked(CSRGraph.fromEdges(0, Nil)),
   )
 
   for {
