@@ -71,8 +71,8 @@ object Tables {
     *     reduction, buffering, LGS for hub patterns);
     * (2) CPU/BFS baselines: no orientation, no LGS — the search-plan tree
     *     the pattern-aware CPU systems and BFS GPU systems all explore;
-    * (3) Pangolin scan volume: same tree, whole-list scans (no buffering, no
-    *     early exit) — its extend-then-filter execution model.
+    * (3) Pangolin scan volume: same tree, `wholeListScans` (no buffering,
+    *     no early exit) — its extend-then-filter execution model.
     * Returns the first two runs' metrics and the third's set-op work.
     */
   private def engineConfigs(spark: SparkSession, g: CSRGraph, p: Pattern,
@@ -80,7 +80,7 @@ object Tables {
     val plan = Planner.plan(p, induced)
     val mG2 = DfsEngine.run(spark, g, plan, DfsConfig(lgs = true))
     val mBase = DfsEngine.run(spark, g, plan, DfsConfig(orientation = false, lgs = false))
-    val mPang = DfsEngine.run(spark, g, plan, DfsConfig(buffering = false, boundedMerges = false, lgs = false))
+    val mPang = DfsEngine.run(spark, g, plan, DfsConfig(wholeListScans = true))
     require(mG2.count == mBase.count, s"engine disagreement: ${mG2.count} vs ${mBase.count} for $p")
     (mG2, mBase, mPang.setOpWork)
   }
@@ -176,13 +176,11 @@ object Tables {
     val total = runs.map(_._1).reduce(_ combine _)
     val base = runs.map(_._2).reduce(_ combine _)
     val pangScan = runs.map(_._3).sum
-    // kernel fission sharing: the triangle-prefix group (tailed-tri,
-    // diamond, 4-clique) enumerates triangles once instead of 3 times
     val sharing =
       if (k == 4) {
         val triPlan = Planner.plan(Patterns.triangle, induced = false)
         val tri = DfsEngine.runLocal(g, triPlan, DfsConfig(orientation = false))
-        2L * tri.setOpWork
+        FissionSavedTriangleListings * tri.setOpWork
       } else 0L
     val g2Metrics = total.copy(setOpWork = math.max(0L, total.setOpWork - sharing))
     derive(spec, g, oriented = false, g2Metrics, base, pangScan)
@@ -246,7 +244,7 @@ object Tables {
   private def fusedDiamond(spark: SparkSession, spec: DataGraphs.Spec, g: CSRGraph): SystemSims = {
     val plan = Planner.plan(Patterns.diamond, induced = false, countingOnly = true)
     require(plan.fusedCount, "diamond plan must fuse under counting-only")
-    val m = DfsEngine.run(spark, g, plan, DfsConfig(countingOnly = true))
+    val m = DfsEngine.run(spark, g, plan, DfsConfig())
     SystemSims(m.count, Map(
       "G2Miner" -> simulate(Workload(m.setOpWork, 0, 0), G2MinerGpu),
       "Peregrine" -> simulate(Workload(m.setOpWork + m.bufferSavedWork, 0, 0), PeregrineCpu)))
@@ -270,17 +268,20 @@ object Tables {
   // ------------------------------------------------------------------
   final case class ScalingRow(policy: String, n: Int, makespan: Double, speedup: Double)
 
+  /** 3-MC on Tw2 (the paper's Fig. 8/9 case). Each pattern is its own kernel
+    * (fission, opt I) with its own task list; a makespan is their sum.
+    */
   def multiGpuScaling(spark: SparkSession, load: Loader): (Vector[ScalingRow], String) = {
-    // workload: 3-MC on Tw2 (the paper's Fig. 8/9 case)
     val g = load(DataGraphs.tw2)
-    val work = Patterns.motifs(3).map { p =>
+    val works = Patterns.motifs(3).map { p =>
       DfsEngine.perTaskWork(g, Planner.plan(p, induced = true), DfsConfig(orientation = false))
-    }.reduce { (a, b) => a.zip(b).map { case (x, y) => x + y } }
+    }
     val thr = G2MinerGpu.device.elemOpsPerSec * G2MinerGpu.efficiency
-    def makespan(n: Int, policy: Scheduler.Policy) = Scheduler.simulate(work, n, policy, thr).makespanSeconds
-    val policies = Seq[(String, Scheduler.Policy)](
-      "even-split" -> Scheduler.EvenSplit,
-      "chunked-rr" -> Scheduler.ChunkedRoundRobin(Scheduler.paperChunkSize(work.length, WarpsPerDevice)))
+    def makespan(n: Int, policy: Array[Long] => Scheduler.Policy) =
+      works.map(w => Scheduler.simulate(w, n, policy(w), thr).makespanSeconds).sum
+    val policies = Seq[(String, Array[Long] => Scheduler.Policy)](
+      "even-split" -> (_ => Scheduler.EvenSplit),
+      "chunked-rr" -> (w => Scheduler.ChunkedRoundRobin(Scheduler.paperChunkSize(w.length, WarpsPerDevice))))
     val oneDevice = policies.map { case (_, policy) => makespan(1, policy) }
     val byN = (1 to 8).map(n => policies.zip(oneDevice).map { case ((name, policy), base) =>
       val m = makespan(n, policy); ScalingRow(name, n, m, base / m)

@@ -123,6 +123,11 @@ object CostModel {
     */
   def distGraphStartupSec(n: Int): Double = 1.2e-4 * math.sqrt(n.toDouble)
 
+  /** Kernel fission (opt I), credited, not run: the three triangle-rooted
+    * 4-motif kernels share one triangle listing, saving two.
+    */
+  val FissionSavedTriangleListings = 2L
+
   /** Resident warps simulated per device; sets the chunk size of the
     * chunked round-robin multi-GPU scheduler (§7.1).
     */

@@ -8,28 +8,27 @@ import repro.setops.{SetOps, WorkCounter}
 
 /** Configuration knobs mirroring the paper's optimization letters (Table 2).
   * Tasks are always edge-parallel (§5.1 (2)) with edgelist reduction
-  * (opt J); only LGS switches to vertex tasks.
+  * (opt J); only LGS switches to vertex tasks. Buffer reuse (opt K) and
+  * merges that exit early at upper symmetry bounds (set bounding inside
+  * the merge, §6.1) are on unless `wholeListScans` is set.
   *
-  * @param orientation   DAG orientation for cliques (opt A)
-  * @param buffering     reuse intermediate sets across levels (opt K)
-  * @param countingOnly  counting-only run (opt D). The engine does not
-  *                      read it: fusing the two innermost loops into
-  *                      C(n,2) follows `SearchPlan.fusedCount`, which
-  *                      `Planner.plan(countingOnly = true)` sets
-  * @param lgs           local graph search for hub patterns (opt E), on
-  *                      inputs whose maximum degree is at most
-  *                      [[DfsEngine.LgsMaxDegree]]
-  * @param boundedMerges early-exit merges at upper symmetry bounds
-  *                      (set bounding inside the merge, §6.1); disable
-  *                      to measure the scan volume of engines without
-  *                      it (Pangolin's extend-then-filter)
+  * @param orientation    DAG orientation for cliques (opt A)
+  * @param countingOnly   counting-only run (opt D). The engine does not
+  *                       read it: fusing the two innermost loops into
+  *                       C(n,2) follows `SearchPlan.fusedCount`, which
+  *                       `Planner.plan(countingOnly = true)` sets
+  * @param lgs            local graph search for hub patterns (opt E), on
+  *                       inputs whose maximum degree is at most
+  *                       [[DfsEngine.LgsMaxDegree]]
+  * @param wholeListScans Pangolin's extend-then-filter scan volume: no
+  *                       buffer reuse (opt K) and no early exit at bounds
+  *                       (§6.1), so every level merges whole lists
   */
 final case class DfsConfig(
     orientation: Boolean = true,
-    buffering: Boolean = true,
     countingOnly: Boolean = false,
     lgs: Boolean = false,
-    boundedMerges: Boolean = true,
+    wholeListScans: Boolean = false,
 )
 
 /** Aggregated run metrics. `levelNodes(i)` is the number of valid partial
@@ -53,11 +52,22 @@ final case class Metrics(
   )
 }
 
+/** A [[repro.plan.LevelSpec]] as [[PlanExecutor]] runs it: `conn` leaves
+  * out the LGS root, whose neighbours are all local vertices; `unmatched`
+  * holds the earlier positions a candidate may equal (neither in the
+  * plan's `conn` nor the LGS root); `reuse` is the position whose set
+  * equals this one (opt K) or −1; `bounded` lets the merges stop at the
+  * upper bound, as no later level (which may need more) reuses the set.
+  */
+private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers: Array[Int],
+                          val lowers: Array[Int], val unmatched: Array[Int], val reuse: Int,
+                          val bounded: Boolean)
+
 /** Single-threaded plan interpreter, one instance per Spark partition,
   * which runs that partition's slots of the canonical task order. This is
   * the analog of a generated CUDA kernel: the nested DFS loops, set
-  * primitives, symmetry bounds and buffer reuse of §5/§6, driven by a
-  * [[SearchPlan]] instead of generated source.
+  * primitives, symmetry bounds and buffer reuse of §5/§6, which the
+  * constructor fixes once per level as the code generator does per kernel.
   *
   * Memory per instance, beyond the shared graph, is `(k + 1) × max(1,
   * maxDegree)` ints: one candidate buffer per pattern position plus the
@@ -70,21 +80,34 @@ final case class Metrics(
   */
 final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode: Boolean) {
   private val k = plan.k
-  private val levels = plan.levels
   val wc = new WorkCounter
   var count = 0L
   val lvl = new Array[Long](k)
   var tasksRun = 0L
   var savedWork = 0L
 
-  // Levels whose buffer is a reuse source must stay unbounded (a later
-  // level may need a different range); all others can merge with an early
-  // exit at their upper symmetry bound.
-  private val reusedLater: Array[Boolean] = {
-    val out = new Array[Boolean](k)
-    plan.bufferReuse.foreach(_.foreach(j => out(j) = true))
-    out
+  // A bound on position j compares with matched(j). Under LGS the root is
+  // not a local vertex: its upper key, the number of local vertices below
+  // it, sits in matched(0), and its lower key, one less, in matched(k).
+  private val matched = new Array[Int](k + 1)
+
+  private val levels: Array[Level] = {
+    val root = if (lgsMode) 0 else -1
+    // An edge task matches position 1 without computing its set, so no
+    // level can reuse it.
+    val reuse = (None +: plan.bufferReuse).map {
+      case Some(j) if !cfg.wholeListScans && (lgsMode || j >= 2) => j
+      case _ => -1
+    }
+    null +: Array.tabulate(k - 1) { li =>
+      val i = li + 1; val spec = plan.levels(li)
+      new Level(spec.conn.filter(_ != root).toArray, spec.anti.toArray, spec.uppers.toArray,
+        spec.lowers.map(j => if (j == root) k else j).toArray,
+        (0 until i).filter(j => j != root && !spec.conn.contains(j)).toArray,
+        reuse(i), bounded = !cfg.wholeListScans && !reuse.contains(i))
+    }
   }
+  private val fuseAt = if (plan.fusedCount) k - 2 else -1
 
   private val cap = math.max(1, g.maxDegree)
   private val buf = Array.ofDim[Int](k, cap)
@@ -92,50 +115,42 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
   private val candArr = new Array[Array[Int]](k)
   private val candOff = new Array[Int](k)
   private val candLen = new Array[Int](k)
-  private val candStored = new Array[Boolean](k)
-  private val matched = new Array[Int](k)
   private val identity = Array.range(0, cap) // "all local vertices" view for LGS
-
-  // --- LGS task state -------------------------------------------------
-  private var lg: CSRGraph = g        // graph used for set ops (local in LGS)
-  private var rootLocalBound = 0      // #local vertices with global id < v0
+  private var lg: CSRGraph = g                // graph used for set ops (local in LGS)
 
   @inline private def nbrA: Array[Int] = lg.nbrs
   @inline private def nOff(v: Int): Int = lg.offsets(v)
   @inline private def nLen(v: Int): Int = lg.offsets(v + 1) - lg.offsets(v)
 
-  private def ubVal(j: Int): Int =
-    if (lgsMode && j == 0) rootLocalBound else matched(j)
-  private def lbVal(j: Int): Int =
-    if (lgsMode && j == 0) rootLocalBound - 1 else matched(j)
+  @inline private def minKey(js: Array[Int]): Int = {
+    var m = Int.MaxValue; var x = 0
+    while (x < js.length) { m = math.min(m, matched(js(x))); x += 1 }
+    m
+  }
+  @inline private def maxKey(js: Array[Int]): Int = {
+    var m = Int.MinValue; var x = 0
+    while (x < js.length) { m = math.max(m, matched(js(x))); x += 1 }
+    m
+  }
+  @inline private def lenSum(js: Array[Int]): Long = {
+    var s = 0L; var x = 0
+    while (x < js.length) { s += nLen(matched(js(x))); x += 1 }
+    s
+  }
 
   /** Compute (or reuse) the candidate set for position i. */
   private def computeCands(i: Int): Unit = {
-    val li = i - 1
-    if (cfg.buffering) {
-      plan.bufferReuse(li) match {
-        case Some(j) if candStored(j) =>
-          candArr(i) = candArr(j); candOff(i) = candOff(j); candLen(i) = candLen(j)
-          candStored(i) = true
-          // work the recomputation would have cost: the merge over inputs
-          val spec = levels(li)
-          var saved = 0L
-          spec.conn.foreach(c => if (!(lgsMode && c == 0)) saved += nLen(matched(c)).toLong)
-          spec.anti.foreach(c => saved += nLen(matched(c)).toLong)
-          savedWork += saved
-          return
-        case _ => ()
-      }
+    val lv = levels(i)
+    if (lv.reuse >= 0) {
+      val j = lv.reuse; candArr(i) = candArr(j); candOff(i) = candOff(j); candLen(i) = candLen(j)
+      // work the recomputation would have cost: the merge over inputs
+      savedWork += lenSum(lv.conn) + lenSum(lv.anti)
+      return
     }
-    val spec = levels(li)
-    val conn = if (lgsMode) spec.conn.filter(_ != 0) else spec.conn
-    // Merge with early exit at the upper symmetry bound when this buffer
-    // is private to the level (set-bounding inside the merge, §6.1).
-    val ub =
-      if (!cfg.boundedMerges || reusedLater(i) || spec.uppers.isEmpty) Int.MaxValue
-      else spec.uppers.map(ubVal).min
-    var arr: Array[Int] = null; var off = 0; var len = 0
-    if (conn.isEmpty) { // LGS: every local vertex is a neighbor of the root
+    // Merge with early exit at the upper symmetry bound (§6.1).
+    val ub = if (lv.bounded) minKey(lv.uppers) else Int.MaxValue
+    val conn = lv.conn; var arr: Array[Int] = null; var off = 0; var len = 0
+    if (conn.length == 0) { // LGS: every local vertex is a neighbor of the root
       arr = identity; off = 0; len = lg.n
     } else {
       val c0 = matched(conn(0))
@@ -149,35 +164,27 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       }
     }
     var ai = 0
-    while (ai < spec.anti.length) {
-      val a = matched(spec.anti(ai))
+    while (ai < lv.anti.length) {
+      val a = matched(lv.anti(ai))
       len = SetOps.difference(arr, off, len, nbrA, nOff(a), nLen(a), buf(i), wc, ub)
       arr = buf(i); off = 0
       ai += 1
     }
     candArr(i) = arr; candOff(i) = off; candLen(i) = len
-    candStored(i) = true
   }
 
-  /** Index range of candidates satisfying the symmetry bounds; returns
-    * (lo, hi) absolute indices into candArr(i).
-    */
-  private def boundedRange(i: Int): (Int, Int) = {
-    val spec = levels(i - 1)
-    val arr = candArr(i); val off = candOff(i); val len = candLen(i)
-    var hi = off + len
-    if (spec.uppers.nonEmpty) {
-      var ub = Int.MaxValue
-      spec.uppers.foreach(j => ub = math.min(ub, ubVal(j)))
-      hi = off + SetOps.countBelow(arr, off, len, ub, wc)
-    }
-    var lo = off
-    if (spec.lowers.nonEmpty) {
-      var lb = Int.MinValue
-      spec.lowers.foreach(j => lb = math.max(lb, lbVal(j)))
-      lo = off + SetOps.countBelow(arr, off, len, lb + 1, wc)
-    }
-    (lo, hi)
+  /** Index into candArr(i) of the first candidate above every lower bound. */
+  private def boundedLo(i: Int): Int = {
+    val lowers = levels(i).lowers
+    if (lowers.length == 0) candOff(i)
+    else candOff(i) + SetOps.countBelow(candArr(i), candOff(i), candLen(i), maxKey(lowers) + 1, wc)
+  }
+
+  /** Index into candArr(i) past the last candidate below every upper bound. */
+  private def boundedHi(i: Int): Int = {
+    val uppers = levels(i).uppers
+    if (uppers.length == 0) candOff(i) + candLen(i)
+    else candOff(i) + SetOps.countBelow(candArr(i), candOff(i), candLen(i), minKey(uppers), wc)
   }
 
   /** Count matched vertices that appear inside [lo, hi) of candArr(i) —
@@ -185,42 +192,40 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     */
   private def matchedInRange(i: Int, lo: Int, hi: Int): Int = {
     if (lo >= hi) return 0
-    val spec = levels(i - 1)
     val arr = candArr(i)
-    var cnt = 0
-    var j = if (lgsMode) 1 else 0 // in LGS the root is not a local vertex
-    while (j < i) {
-      if (!spec.conn.contains(j)) { // candidates ⊆ N(v_j) can never equal v_j
-        val v = matched(j)
-        if (v >= arr(lo) && v <= arr(hi - 1) &&
-            SetOps.contains(arr, lo, hi - lo, v, wc)) cnt += 1
-      }
-      j += 1
+    val js = levels(i).unmatched
+    var cnt = 0; var x = 0
+    while (x < js.length) {
+      val v = matched(js(x))
+      if (v >= arr(lo) && v <= arr(hi - 1) &&
+          SetOps.contains(arr, lo, hi - lo, v, wc)) cnt += 1
+      x += 1
     }
     cnt
   }
 
-  @inline private def isMatched(v: Int, upTo: Int): Boolean = {
-    var j = if (lgsMode) 1 else 0
-    var found = false
-    while (j < upTo && !found) { found = matched(j) == v; j += 1 }
-    found
+  @inline private def isMatched(v: Int, js: Array[Int]): Boolean = {
+    var x = 0
+    while (x < js.length && matched(js(x)) != v) x += 1
+    x < js.length
   }
 
   private def descend(i: Int): Unit = {
-    if (plan.fusedCount && i == k - 2) { fusedLeaf(i); return }
+    if (i == fuseAt) { fusedLeaf(i); return }
     computeCands(i)
-    val (lo, hi) = boundedRange(i)
+    val hi = boundedHi(i)
+    val lo = boundedLo(i)
     if (i == k - 1) {
       val c = (hi - lo) - matchedInRange(i, lo, hi)
       count += c
       lvl(i) += c
     } else {
       val arr = candArr(i)
+      val unmatched = levels(i).unmatched
       var idx = lo
       while (idx < hi) {
         val v = arr(idx)
-        if (!isMatched(v, i)) {
+        if (!isMatched(v, unmatched)) {
           matched(i) = v
           lvl(i) += 1
           descend(i + 1)
@@ -263,14 +268,11 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       }
     }
 
-  private def resetTask(): Unit = java.util.Arrays.fill(candStored, false)
-
   /** Edge task: the subtree rooted at edge (v0, v1). Tasks are reduced
     * (opt J), so (v0, v1) already satisfies level 1's symmetry bounds.
     */
   private def runEdgeTask(v0: Int, v1: Int): Unit = {
     tasksRun += 1
-    resetTask()
     matched(0) = v0
     matched(1) = v1
     lvl(1) += 1
@@ -280,17 +282,14 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
   /** LGS task (hub patterns): search v0's local induced graph (Fig. 7). */
   private def runLgsTask(v0: Int): Unit = {
     tasksRun += 1
-    resetTask()
     if (g.deg(v0) < k - 1) return
     val (local, verts) = g.localGraph(v0, wc)
     lg = local
-    matched(0) = v0
-    rootLocalBound = {
-      // #local vertices with global id < v0 (order-preserving rename)
-      var lo = 0; var hi = verts.length
-      while (lo < hi) { val m = (lo + hi) >>> 1; if (verts(m) < v0) lo = m + 1 else hi = m }
-      lo
-    }
+    // #local vertices with global id < v0 (order-preserving rename)
+    var lo = 0; var hi = verts.length
+    while (lo < hi) { val m = (lo + hi) >>> 1; if (verts(m) < v0) lo = m + 1 else hi = m }
+    matched(0) = lo
+    matched(k) = lo - 1
     descend(1)
   }
 

@@ -71,6 +71,7 @@ object MotifFormulas {
   )
 
   private def edgePrimitives(g: CSRGraph, wc: WorkCounter): EdgePrimitives = {
+    val common = new Array[Int](math.max(1, g.maxDegree)) // N(u) ∩ N(v); only its size is used
     var t3 = 0L; var tailed2x = 0L; var dia = 0L; var paths = 0L
     var u = 0
     while (u < g.n) {
@@ -80,7 +81,7 @@ object MotifFormulas {
         if (u < v) {
           val te = SetOps.intersect(
             g.nbrs, g.nbrStart(u), g.deg(u), g.nbrs, g.nbrStart(v), g.deg(v),
-            scratch(g), wc).toLong
+            common, wc).toLong
           t3 += te
           tailed2x += te * (g.deg(u) + g.deg(v) - 4)
           dia += te * (te - 1) / 2
@@ -93,12 +94,8 @@ object MotifFormulas {
     EdgePrimitives(t3 / 3, tailed2x / 2, dia, paths)
   }
 
-  private val scratchTl = new ThreadLocal[Array[Int]]
-  private def scratch(g: CSRGraph): Array[Int] = {
-    var a = scratchTl.get()
-    if (a == null || a.length < g.maxDegree) { a = new Array[Int](math.max(1, g.maxDegree)); scratchTl.set(a) }
-    a
-  }
+  /** W = Σ_v C(d_v, 2): wedges (non-induced 2-paths) centred anywhere. */
+  private def wedges(g: CSRGraph): Long = (0 until g.n).map(v => g.deg(v).toLong * (g.deg(v) - 1) / 2).sum
 
   /** Non-induced 4-cycle count: every 4-cycle has two "diagonal" vertex
     * pairs; a pair (u, w) with c common neighbors closes C(c, 2) cycles
@@ -138,18 +135,16 @@ object MotifFormulas {
       }
       sum
     }(_ + _)
-    val totalWedges = (0 until g.n).map(v => g.deg(v).toLong * (g.deg(v) - 1) / 2).sum
-    (diagonals / 2, totalWedges)
+    (diagonals / 2, wedges(g))
   }
 
   /** Induced 3-motif counts from closed forms: wedge = W − 3T, triangle = T. */
   def threeMotifs(g: CSRGraph): FormulaResult = {
     val wc = new WorkCounter
     val prim = edgePrimitives(g, wc)
-    val wedges = (0 until g.n).map(v => g.deg(v).toLong * (g.deg(v) - 1) / 2).sum
     val motifs = Patterns.motifs(3)
     val non = motifs.map { p =>
-      if (p.isomorphicTo(Patterns.wedge)) wedges else prim.triangles
+      if (p.isomorphicTo(Patterns.wedge)) wedges(g) else prim.triangles
     }
     val ind = nonInducedToInduced(motifs, non)
     FormulaResult(motifs.zip(ind), wc.ops + g.n)
@@ -161,7 +156,7 @@ object MotifFormulas {
   def fourMotifs(spark: SparkSession, g: CSRGraph): FormulaResult = {
     val wc = new WorkCounter
     val prim = edgePrimitives(g, wc)
-    val (c4, wedges) = fourCyclesNonInduced(spark, g)
+    val (c4, allWedges) = fourCyclesNonInduced(spark, g)
     val claws = (0 until g.n).map(v => comb3(g.deg(v))).sum
     val paths = prim.pathsPart - 3 * prim.triangles
     val k4plan = repro.plan.Planner.plan(Patterns.clique(4), induced = false)
@@ -177,7 +172,7 @@ object MotifFormulas {
       else sys.error(s"unexpected 4-motif $p")
     }
     val ind = nonInducedToInduced(motifs, non)
-    FormulaResult(motifs.zip(ind), wc.ops + wedges + k4m.setOpWork)
+    FormulaResult(motifs.zip(ind), wc.ops + allWedges + k4m.setOpWork)
   }
 
   private def comb3(d: Int): Long = d.toLong * (d - 1) * (d - 2) / 6

@@ -118,11 +118,6 @@ object Planner {
     */
   def orientedCliquePlan(k: Int): SearchPlan = {
     val p = repro.pattern.Patterns.clique(k)
-    val so = SearchOrder(p, (0 until k).toVector, p, Vector.empty)
-    val levels = (1 until k).toVector.map { i =>
-      LevelSpec((0 until i).toVector, Vector.empty, Vector.empty, Vector.empty)
-    }
-    val reuse = Vector.fill(levels.length)(Option.empty[Int])
-    SearchPlan(so, induced = false, levels, reuse, fusedCount = false)
+    fromOrder(SearchOrder(p, (0 until k).toVector, p, Vector.empty), induced = false, countingOnly = false)
   }
 }

@@ -1,7 +1,11 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.cost.CostModel.Sim
+import repro.cost.CostModel.{G2MinerGpu, Sim}
+import repro.engine.{DfsConfig, DfsEngine}
+import repro.graph.DataGraphs
+import repro.pattern.Patterns
+import repro.plan.Planner
 
 /** Tiny-scale smoke runs of every table runner: structure, count sanity,
   * cross-system invariants and the golden rendered output. Full-scale
@@ -84,6 +88,18 @@ class TablesSpec extends SparkSpec {
     val chunk8 = rows.find(r => r.n == 8 && r.policy == "chunked-rr").get.speedup
     assert(chunk8 >= even8)
     assert(rendered.contains("Multi-GPU"))
+  }
+
+  test("multi-GPU scaling simulates every task of both 3-motif patterns") {
+    // the wedge runs every arc and the triangle one task per edge: one
+    // device under even split does all of both lists' work
+    val g = Tables.tinyLoader(DataGraphs.tw2)
+    val works = Patterns.motifs(3).map(p =>
+      DfsEngine.perTaskWork(g, Planner.plan(p, induced = true), DfsConfig(orientation = false)))
+    assert(works.map(_.length).distinct.length == 2)
+    val thr = G2MinerGpu.device.elemOpsPerSec * G2MinerGpu.efficiency
+    val one = multiGpu._1.find(r => r.n == 1 && r.policy == "even-split").get.makespan
+    assert(math.abs(one * thr - works.map(_.sum).sum) < 1e-6 * works.map(_.sum).sum)
   }
 
   test("render produces a readable table with paper rows") {

@@ -33,11 +33,10 @@ class DfsEngineSpec extends AnyFunSuite {
   private def allConfigs: Seq[(String, DfsConfig)] = Seq(
     "default" -> DfsConfig(),
     "no-orientation" -> DfsConfig(orientation = false),
-    "no-buffering" -> DfsConfig(buffering = false),
-    "pangolin-scan" -> DfsConfig(buffering = false, boundedMerges = false),
+    "pangolin-scan" -> DfsConfig(wholeListScans = true),
     "lgs" -> DfsConfig(lgs = true),
     "lgs-no-orient" -> DfsConfig(lgs = true, orientation = false),
-    "everything-off" -> DfsConfig(orientation = false, buffering = false),
+    "everything-off" -> DfsConfig(orientation = false, wholeListScans = true),
   )
 
   for {
@@ -137,9 +136,11 @@ class DfsEngineSpec extends AnyFunSuite {
     val plan = Planner.plan(Patterns.diamond, induced = false)
     val m = DfsEngine.runLocal(g, plan, DfsConfig())
     assert(m.bufferSavedWork > 0)
-    val noBuf = DfsEngine.runLocal(g, plan, DfsConfig(buffering = false))
-    assert(noBuf.bufferSavedWork == 0)
-    assert(noBuf.setOpWork >= m.setOpWork)
+    // whole-list scans reuse no buffer and merge past the bounds
+    val whole = DfsEngine.runLocal(g, plan, DfsConfig(wholeListScans = true))
+    assert(whole.count == m.count)
+    assert(whole.bufferSavedWork == 0)
+    assert(whole.setOpWork > m.setOpWork)
   }
 
   test("edgelist reduction halves tasks when a root condition exists") {

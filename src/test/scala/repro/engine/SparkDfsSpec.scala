@@ -17,7 +17,7 @@ class SparkDfsSpec extends SparkSpec {
   private val configs = Seq(
     "g2miner-lgs" -> DfsConfig(lgs = true),
     "baseline" -> DfsConfig(orientation = false, lgs = false),
-    "pangolin-scan" -> DfsConfig(buffering = false, boundedMerges = false, lgs = false),
+    "pangolin-scan" -> DfsConfig(wholeListScans = true),
   )
 
   /** pl-skew with vertex 0, a middle vertex and vertex n − 1 isolated. */

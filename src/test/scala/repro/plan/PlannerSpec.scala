@@ -44,11 +44,12 @@ class PlannerSpec extends AnyFunSuite {
   }
 
   test("oriented clique plan has no bounds and full connectivity") {
-    val plan = Planner.orientedCliquePlan(4)
-    assert(plan.levels.forall(l => l.uppers.isEmpty && l.lowers.isEmpty))
-    assert(plan.levels(1).conn == Vector(0, 1))
-    assert(plan.levels(2).conn == Vector(0, 1, 2))
-    assert(plan.conds.isEmpty)
+    for (k <- 3 to 6) {
+      val plan = Planner.orientedCliquePlan(k)
+      assert(plan.levels.forall(l => l.uppers.isEmpty && l.lowers.isEmpty && l.anti.isEmpty), s"k=$k")
+      assert(plan.levels.map(_.conn) == (1 until k).map(i => (0 until i).toVector), s"k=$k")
+      assert(plan.conds.isEmpty && plan.bufferReuse.forall(_.isEmpty) && !plan.fusedCount, s"k=$k")
+    }
   }
 
   test("rootEdgeCond present for symmetric-rooted patterns") {
