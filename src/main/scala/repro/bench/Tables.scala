@@ -179,7 +179,7 @@ object Tables {
     val sharing =
       if (k == 4) {
         val triPlan = Planner.plan(Patterns.triangle, induced = false)
-        val tri = DfsEngine.runLocal(g, triPlan, DfsConfig(orientation = false))
+        val tri = DfsEngine.run(spark, g, triPlan, DfsConfig(orientation = false))
         FissionSavedTriangleListings * tri.setOpWork
       } else 0L
     val g2Metrics = total.copy(setOpWork = math.max(0L, total.setOpWork - sharing))

@@ -1,5 +1,6 @@
 package repro.engine
 
+import java.util.concurrent.atomic.AtomicReference
 import org.apache.spark.sql.SparkSession
 import repro.graph.CSRGraph
 import repro.plan.{Planner, SearchPlan}
@@ -63,8 +64,9 @@ private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers
                           val lowers: Array[Int], val unmatched: Array[Int], val reuse: Int,
                           val bounded: Boolean)
 
-/** Single-threaded plan interpreter, one instance per Spark partition,
-  * which runs that partition's slots of the canonical task order. This is
+/** Single-threaded plan interpreter, one instance per Spark partition (or
+  * `perTaskWork` thread), which runs its stripe of the canonical task
+  * order. This is
   * the analog of a generated CUDA kernel: the nested DFS loops, set
   * primitives, symmetry bounds and buffer reuse of §5/§6, which the
   * constructor fixes once per level as the code generator does per kernel.
@@ -357,22 +359,44 @@ object DfsEngine {
   }
 
   /** Per-task set-op work in canonical task order (slots 0…m−1, no-op
-    * slots skipped) — the scheduler's input (§7.1). Runs single-node on the
-    * driver for exact per-task attribution (bench graphs are small).
+    * slots skipped) — the scheduler's input (§7.1). The driver runs the
+    * Spark run's stripes on its own cores: for P = min(m, available
+    * processors), stripe p (slots p, p + P, …) runs on its own thread with
+    * its own [[PlanExecutor]]. A slot's work does not depend on the
+    * executor that runs it, so the result equals a single-threaded pass.
+    * Memory is that of P executors (see [[PlanExecutor]]) plus one `Long`
+    * per slot. A stripe that throws stops the others, and the call rethrows
+    * its failure.
     */
   def perTaskWork(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig = DfsConfig()): Array[Long] = {
     val p = prepare(g, plan, cfg)
-    val ex = new PlanExecutor(p.graph, p.plan, cfg, p.lgs)
-    val out = Array.newBuilder[Long]
-    for (s <- 0 until p.slots) {
-      val (tasks, work) = (ex.tasksRun, ex.wc.ops)
-      ex.runSlot(s)
-      if (ex.tasksRun > tasks) out += (ex.wc.ops - work) + 1 // +1: task launch floor
+    val parts = math.min(p.slots, Runtime.getRuntime.availableProcessors)
+    val work = new Array[Long](p.slots) // 0 marks a no-op slot; a task costs at least 1
+    val failure = new AtomicReference[Throwable]
+    val threads = (0 until parts).map { i =>
+      new Thread(() =>
+        try {
+          val ex = new PlanExecutor(p.graph, p.plan, cfg, p.lgs)
+          Scheduler.stripe(i, parts, p.slots).foreach { s =>
+            if (failure.get == null) {
+              val tasks = ex.tasksRun; val ops = ex.wc.ops
+              ex.runSlot(s)
+              if (ex.tasksRun > tasks) work(s) = (ex.wc.ops - ops) + 1 // +1: task launch floor
+            }
+          }
+        } catch { case e: Throwable => failure.compareAndSet(null, e) },
+        s"perTaskWork-$i")
     }
-    out.result()
+    threads.foreach(_.start())
+    threads.foreach(_.join())
+    if (failure.get != null) throw failure.get
+    work.filter(_ > 0)
   }
 
-  /** Convenience: local (non-Spark) run for tests and metric derivation. */
+  /** Local (non-Spark) run, deliberately single-threaded: it is the tests'
+    * local oracle for the Spark run, and `perfbench`'s `engine.local_s`
+    * probe times one executor's speed with it.
+    */
   def runLocal(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig = DfsConfig()): Metrics = {
     val p = prepare(g, plan, cfg)
     val ex = new PlanExecutor(p.graph, p.plan, cfg, p.lgs)

@@ -11,10 +11,11 @@ import repro.setops.{SetOps, WorkCounter}
   * primitives — per-edge triangle counts, degree moments, common-neighbor
   * pair statistics and 4-clique enumeration — then convert *non-induced*
   * counts to *induced* motif counts with an inversion matrix that is
-  * derived and exactly inverted in code (ESCAPE-style [82]). The 4-cycle
-  * primitive is the one Spark job, a shuffle-free pass over the broadcast
-  * CSR with the engine's round-robin placement; the other primitives run
-  * in the calling thread.
+  * derived and exactly inverted in code (ESCAPE-style [82]). Two
+  * primitives run on Spark with the engine's round-robin placement over
+  * the broadcast CSR: 4-cycles in a shuffle-free pass and 4-cliques by
+  * `DfsEngine.run`. The per-edge triangle primitives and the degree
+  * moments run in the calling thread.
   */
 object MotifFormulas {
 
@@ -151,7 +152,8 @@ object MotifFormulas {
   }
 
   /** Induced 4-motif counts: non-induced primitives + exact inversion.
-    * 4-cliques are the only piece that needs enumeration (oriented DFS).
+    * 4-cliques are the only piece that needs enumeration (oriented DFS on
+    * Spark).
     */
   def fourMotifs(spark: SparkSession, g: CSRGraph): FormulaResult = {
     val wc = new WorkCounter
@@ -160,7 +162,7 @@ object MotifFormulas {
     val claws = (0 until g.n).map(v => comb3(g.deg(v))).sum
     val paths = prim.pathsPart - 3 * prim.triangles
     val k4plan = repro.plan.Planner.plan(Patterns.clique(4), induced = false)
-    val k4m = repro.engine.DfsEngine.runLocal(g, k4plan, repro.engine.DfsConfig())
+    val k4m = repro.engine.DfsEngine.run(spark, g, k4plan, repro.engine.DfsConfig())
     val motifs = Patterns.motifs(4)
     val non = motifs.map { p =>
       if (p.isomorphicTo(Patterns.path(4))) paths

@@ -50,9 +50,14 @@ object Scheduler {
       part: (G, Range) => R)(combine: (R, R) => R): R = {
     val p = math.max(1, sc.defaultParallelism)
     val bc = sc.broadcast(shared)
-    try sc.parallelize(0 until p, p).map(i => part(bc.value, i until slots by p)).reduce(combine)
+    try sc.parallelize(0 until p, p).map(i => part(bc.value, stripe(i, p, slots))).reduce(combine)
     finally bc.destroy()
   }
+
+  /** Stripe `i` of `ChunkedRoundRobin(1)` over `parts` queues: slots i,
+    * i + parts, … below `slots`, in increasing order.
+    */
+  def stripe(i: Int, parts: Int, slots: Int): Range = i until slots by parts
 
   // §7.1: chunk multiplier α; devices of the paper's multi-GPU runs (Figs. 8–10)
   private val Alpha = 2

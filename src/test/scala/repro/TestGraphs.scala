@@ -18,6 +18,16 @@ object TestGraphs {
   lazy val labeled: CSRGraph = checked(SynthGraphs.powerLaw(80, 200, 0.6, seed = 4, numLabels = 4))
   lazy val labeledTiny: CSRGraph = checked(SynthGraphs.powerLaw(18, 30, 0.5, seed = 5, numLabels = 3))
 
+  /** pl-skew with vertex 0, a middle vertex and vertex n − 1 isolated. */
+  lazy val isolatedEnds: CSRGraph = {
+    val mid = plSkew.n / 2
+    def id(v: Int) = if (v < mid) v + 1 else v + 2
+    checked(CSRGraph.fromEdges(plSkew.n + 3,
+      plSkew.canonicalEdges.toSeq.map(e => (id((e >>> 32).toInt), id(e.toInt)))))
+  }
+  lazy val oneEdge: CSRGraph = checked(CSRGraph.fromEdges(2, Seq((0, 1))))
+  lazy val empty: CSRGraph = checked(CSRGraph.fromEdges(0, Nil))
+
   def checked(g: CSRGraph): CSRGraph = { g.validate(); g }
 
   /** Fixtures for engine cross-checks (name, graph). */
@@ -29,6 +39,16 @@ object TestGraphs {
     "pl-skew" -> plSkew,
     "pl-mild" -> plMild,
     "pl-dense" -> plDense,
+  )
+
+  /** Fixtures for the round-robin stripes (name, graph): pl-mild, and
+    * graphs whose stripes are uneven, hold no-op slots or are empty.
+    */
+  def forStripes: Seq[(String, CSRGraph)] = Seq(
+    "pl-mild" -> plMild,
+    "isolated-ends" -> isolatedEnds,
+    "one-edge" -> oneEdge,
+    "empty" -> empty,
   )
 
   def cycle(n: Int): CSRGraph = CSRGraph.fromEdges(n, (0 until n).map(i => (i, (i + 1) % n)))

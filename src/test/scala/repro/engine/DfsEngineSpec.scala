@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.graph.CSRGraph
 import repro.pattern.{Pattern, PatternNames, Patterns}
-import repro.plan.Planner
+import repro.plan.{Planner, SearchPlan}
 
 /** The core correctness matrix: every pattern × every fixture × both
   * induced modes, DFS engine (all config variants) vs the pattern-oblivious
@@ -152,14 +152,18 @@ class DfsEngineSpec extends AnyFunSuite {
     assert(m.count == NaiveMatcher.countUnique(g, Patterns.cycle4, induced = false))
   }
 
+  private val perTaskConfigs: Seq[(String, DfsConfig)] =
+    allConfigs.filter(c => Set("default", "lgs", "no-orientation", "pangolin-scan").contains(c._1))
+  private val perTaskPatterns: Seq[(String, Pattern, Boolean)] = Seq(
+    ("triangle", Patterns.triangle, false), ("diamond", Patterns.diamond, false),
+    ("4-clique", Patterns.clique(4), false), ("4-cycle", Patterns.cycle4, false),
+    ("3-star", Patterns.star(4), true))
+
   test("perTaskWork sums near the run total and covers all tasks") {
     val g = TestGraphs.plMild
     for {
-      (cfgName, cfg) <- allConfigs.filter(c =>
-        Set("default", "lgs", "no-orientation", "pangolin-scan").contains(c._1))
-      (pName, p, induced) <- Seq(("triangle", Patterns.triangle, false), ("diamond", Patterns.diamond, false),
-        ("4-clique", Patterns.clique(4), false), ("4-cycle", Patterns.cycle4, false),
-        ("3-star", Patterns.star(4), true))
+      (cfgName, cfg) <- perTaskConfigs
+      (pName, p, induced) <- perTaskPatterns
     } {
       val plan = Planner.plan(p, induced)
       val w = DfsEngine.perTaskWork(g, plan, cfg)
@@ -167,6 +171,34 @@ class DfsEngineSpec extends AnyFunSuite {
       assert(w.length == m.tasks, s"$pName $cfgName")
       assert(w.sum == m.setOpWork + m.tasks, s"$pName $cfgName") // +1 launch floor per task
       assert(w.forall(_ >= 1), s"$pName $cfgName")
+    }
+  }
+
+  /** The reference for `perTaskWork`: one executor runs slots 0…m−1 of the
+    * search `DfsEngine` prepares, in order, and keeps each task's work + 1.
+    */
+  private def sequentialTaskWork(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig): Seq[Long] = {
+    val orient = cfg.orientation && plan.pattern.isClique && !plan.induced
+    val graph = if (orient) g.oriented else g
+    val planX = if (orient) Planner.orientedCliquePlan(plan.k) else plan
+    val lgs = cfg.lgs && planX.hubRooted && graph.maxDegree <= DfsEngine.LgsMaxDegree && planX.k >= 3
+    val ex = new PlanExecutor(graph, planX, cfg, lgs)
+    (0 until (if (lgs) graph.n else graph.numArcs)).flatMap { s =>
+      val (tasks, ops) = (ex.tasksRun, ex.wc.ops)
+      ex.runSlot(s)
+      if (ex.tasksRun > tasks) Some(ex.wc.ops - ops + 1) else None
+    }
+  }
+
+  for ((gName, g) <- TestGraphs.forStripes) test(s"perTaskWork == one executor's slot-by-slot pass on $gName") {
+    for {
+      (cfgName, cfg) <- perTaskConfigs
+      (pName, p, induced) <- perTaskPatterns
+    } {
+      val plan = Planner.plan(p, induced)
+      val w = DfsEngine.perTaskWork(g, plan, cfg)
+      assert(w.toSeq == sequentialTaskWork(g, plan, cfg), s"$pName $cfgName")
+      if (g.n == 0) assert(w.isEmpty)
     }
   }
 

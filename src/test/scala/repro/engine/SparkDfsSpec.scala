@@ -1,7 +1,6 @@
 package repro.engine
 
 import repro.{SparkSpec, TestGraphs}
-import repro.graph.CSRGraph
 import repro.pattern.Patterns
 import repro.plan.Planner
 
@@ -20,22 +19,6 @@ class SparkDfsSpec extends SparkSpec {
     "pangolin-scan" -> DfsConfig(wholeListScans = true),
   )
 
-  /** pl-skew with vertex 0, a middle vertex and vertex n − 1 isolated. */
-  private val withIsolated: CSRGraph = {
-    val g = TestGraphs.plSkew
-    val mid = g.n / 2
-    def id(v: Int) = if (v < mid) v + 1 else v + 2
-    TestGraphs.checked(
-      CSRGraph.fromEdges(g.n + 3, g.canonicalEdges.toSeq.map(e => (id((e >>> 32).toInt), id(e.toInt)))))
-  }
-
-  private val graphs = Seq(
-    "pl-mild" -> TestGraphs.plMild,
-    "isolated-ends" -> withIsolated,
-    "one-edge" -> TestGraphs.checked(CSRGraph.fromEdges(2, Seq((0, 1)))),
-    "empty" -> TestGraphs.checked(CSRGraph.fromEdges(0, Nil)),
-  )
-
   for {
     (pName, p, induced) <- Seq(
       ("triangle", Patterns.triangle, false),
@@ -48,7 +31,7 @@ class SparkDfsSpec extends SparkSpec {
     )
   } test(s"Spark run == local run == naive: $pName") {
     val plan = Planner.plan(p, induced)
-    for ((gName, g) <- graphs; (cName, cfg) <- configs) {
+    for ((gName, g) <- TestGraphs.forStripes; (cName, cfg) <- configs) {
       val dist = DfsEngine.run(spark, g, plan, cfg)
       val local = DfsEngine.runLocal(g, plan, cfg)
       val clue = s"$gName $cName"
