@@ -10,8 +10,9 @@ import repro.setops.{SetOps, WorkCounter}
 /** Configuration knobs mirroring the paper's optimization letters (Table 2).
   * Tasks are always edge-parallel (§5.1 (2)) with edgelist reduction
   * (opt J); only LGS switches to vertex tasks. Buffer reuse (opt K) and
-  * merges that exit early at upper symmetry bounds (set bounding inside
-  * the merge, §6.1) are on unless `wholeListScans` is set.
+  * merges bounded by the symmetry order (set bounding inside the merge,
+  * §6.1: start above the lower bound, exit early at the upper one) are on
+  * unless `wholeListScans` is set.
   *
   * @param orientation    DAG orientation for cliques (opt A)
   * @param countingOnly   counting-only run (opt D). The engine does not
@@ -22,8 +23,8 @@ import repro.setops.{SetOps, WorkCounter}
   *                       inputs whose maximum degree is at most
   *                       [[DfsEngine.LgsMaxDegree]]
   * @param wholeListScans Pangolin's extend-then-filter scan volume: no
-  *                       buffer reuse (opt K) and no early exit at bounds
-  *                       (§6.1), so every level merges whole lists
+  *                       buffer reuse (opt K) and no set bounding in the
+  *                       merges (§6.1), so every level merges whole lists
   */
 final case class DfsConfig(
     orientation: Boolean = true,
@@ -57,8 +58,13 @@ final case class Metrics(
   * out the LGS root, whose neighbours are all local vertices; `unmatched`
   * holds the earlier positions a candidate may equal (neither in the
   * plan's `conn` nor the LGS root); `reuse` is the position whose set
-  * equals this one (opt K) or −1; `bounded` lets the merges stop at the
-  * upper bound, as no later level (which may need more) reuses the set.
+  * equals this one (opt K) or −1; `bounded` merges the set under the
+  * level's symmetry bounds (§6.1): the first input is trimmed to the
+  * elements above the lower bound and the merges start there and stop at
+  * the upper bound, so `boundedLo` has nothing left to drop. It holds
+  * when the level computes its own set and no later level (which may
+  * need more) reuses it; a level that reads a reused set gets it
+  * untrimmed.
   */
 private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers: Array[Int],
                           val lowers: Array[Int], val unmatched: Array[Int], val reuse: Int,
@@ -106,7 +112,7 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       new Level(spec.conn.filter(_ != root).toArray, spec.anti.toArray, spec.uppers.toArray,
         spec.lowers.map(j => if (j == root) k else j).toArray,
         (0 until i).filter(j => j != root && !spec.conn.contains(j)).toArray,
-        reuse(i), bounded = !cfg.wholeListScans && !reuse.contains(i))
+        reuse(i), bounded = !cfg.wholeListScans && reuse(i) < 0 && !reuse.contains(i))
     }
   }
   private val fuseAt = if (plan.fusedCount) k - 2 else -1
@@ -149,36 +155,46 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       savedWork += lenSum(lv.conn) + lenSum(lv.anti)
       return
     }
-    // Merge with early exit at the upper symmetry bound (§6.1).
+    // Merge under the symmetry bounds (§6.1): the first input is trimmed to
+    // the elements above the lower bound (the search `boundedLo` would make
+    // after the merge), and the merges start there and exit early at the
+    // upper bound. An empty bound list gives a key that bounds nothing.
     val ub = if (lv.bounded) minKey(lv.uppers) else Int.MaxValue
+    val lb = if (lv.bounded) maxKey(lv.lowers) else Int.MinValue
     val conn = lv.conn; var arr: Array[Int] = null; var off = 0; var len = 0
     if (conn.length == 0) { // LGS: every local vertex is a neighbor of the root
       arr = identity; off = 0; len = lg.n
     } else {
       val c0 = matched(conn(0))
       arr = nbrA; off = nOff(c0); len = nLen(c0)
-      var ci = 1
-      while (ci < conn.length) {
-        val c = matched(conn(ci))
-        len = SetOps.intersect(arr, off, len, nbrA, nOff(c), nLen(c), buf(i), wc, ub)
-        arr = buf(i); off = 0
-        ci += 1
-      }
+    }
+    if (lv.bounded && lv.lowers.length > 0) {
+      val skip = SetOps.countBelow(arr, off, len, lb + 1, wc)
+      off += skip; len -= skip
+    }
+    var ci = 1
+    while (ci < conn.length) {
+      val c = matched(conn(ci))
+      len = SetOps.intersect(arr, off, len, nbrA, nOff(c), nLen(c), buf(i), wc, ub, lb)
+      arr = buf(i); off = 0
+      ci += 1
     }
     var ai = 0
     while (ai < lv.anti.length) {
       val a = matched(lv.anti(ai))
-      len = SetOps.difference(arr, off, len, nbrA, nOff(a), nLen(a), buf(i), wc, ub)
+      len = SetOps.difference(arr, off, len, nbrA, nOff(a), nLen(a), buf(i), wc, ub, lb)
       arr = buf(i); off = 0
       ai += 1
     }
     candArr(i) = arr; candOff(i) = off; candLen(i) = len
   }
 
-  /** Index into candArr(i) of the first candidate above every lower bound. */
+  /** Index into candArr(i) of the first candidate above every lower bound;
+    * a bounded level's set starts there already.
+    */
   private def boundedLo(i: Int): Int = {
     val lowers = levels(i).lowers
-    if (lowers.length == 0) candOff(i)
+    if (lowers.length == 0 || levels(i).bounded) candOff(i)
     else candOff(i) + SetOps.countBelow(candArr(i), candOff(i), candLen(i), maxKey(lowers) + 1, wc)
   }
 

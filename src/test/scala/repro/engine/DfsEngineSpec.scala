@@ -143,6 +143,30 @@ class DfsEngineSpec extends AnyFunSuite {
     assert(whole.setOpWork > m.setOpWork)
   }
 
+  // ---- set bounding from below (§6.1) ------------------------------------
+  for {
+    (pName, p, induced) <- Seq(("4-cycle", Patterns.cycle4, false), ("3-star", Patterns.star(4), true))
+    (gName, g) <- Seq("pl-mild" -> TestGraphs.plMild, "pl-dense" -> TestGraphs.plDense)
+  } test(s"merges bounded from below cost less than whole-list scans: $pName induced=$induced on $gName") {
+    val plan = Planner.plan(p, induced)
+    assert(plan.levels.exists(_.lowers.nonEmpty))
+    val bounded = DfsEngine.runLocal(g, plan, DfsConfig())
+    val whole = DfsEngine.runLocal(g, plan, DfsConfig(wholeListScans = true))
+    assert(bounded.count == whole.count)
+    assert(bounded.setOpWork < whole.setOpWork)
+  }
+
+  // A level that reads a reused set was not merged under its own lower
+  // bound, so its candidates still have to be bounded after the merge.
+  for ((cfgName, cfg) <- Seq("default" -> DfsConfig(), "lgs" -> DfsConfig(lgs = true)))
+    test(s"diamond == naive on every fixture when levels reuse sets: $cfgName") {
+      val plan = Planner.plan(Patterns.diamond, induced = false)
+      assert(plan.bufferReuse.exists(_.isDefined))
+      for ((gName, g) <- TestGraphs.forMatching)
+        assert(DfsEngine.runLocal(g, plan, cfg).count ==
+          NaiveMatcher.countUnique(g, Patterns.diamond, induced = false), gName)
+    }
+
   test("edgelist reduction halves tasks when a root condition exists") {
     val g = TestGraphs.plMild
     val plan = Planner.plan(Patterns.cycle4, induced = false)

@@ -109,6 +109,70 @@ class SetOpsSpec extends AnyFunSuite {
     }
   }
 
+  /** Both bounds, on a fresh buffer and in place (`out eq a`): the result
+    * is the set result restricted to (lb, ub).
+    */
+  private def checkBounded(name: String, set: (Set[Int], Set[Int]) => Set[Int])(
+      f: (Array[Int], Int, Int, Array[Int], Int, Int, Array[Int], WorkCounter, Int, Int) => Int): Unit =
+    for (_ <- 1 to 200) {
+      val a = randomSortedSet(); val b = randomSortedSet()
+      val lb = rnd.nextInt(320) - 10; val ub = rnd.nextInt(320) - 10
+      val expected = set(a.toSet, b.toSet).filter(x => lb < x && x < ub).toSeq.sorted
+      val out = new Array[Int](a.length + 1)
+      val len = f(a, 0, a.length, b, 0, b.length, out, new WorkCounter, ub, lb)
+      assert(out.take(len).toSeq == expected, s"$name a=${a.toSeq} b=${b.toSeq} lb=$lb ub=$ub")
+      val buf = java.util.Arrays.copyOf(a, math.max(1, a.length))
+      val lenInPlace = f(buf, 0, a.length, b, 0, b.length, buf, new WorkCounter, ub, lb)
+      assert(buf.take(lenInPlace).toSeq == expected, s"$name in place a=${a.toSeq} b=${b.toSeq} lb=$lb ub=$ub")
+    }
+
+  test("intersect with both bounds keeps (lb, ub) of A ∩ B (200 random cases, fresh and in place)") {
+    checkBounded("intersect", _ intersect _)(SetOps.intersect)
+  }
+
+  test("difference with both bounds keeps (lb, ub) of A − B (200 random cases, fresh and in place)") {
+    checkBounded("difference", _ diff _)(SetOps.difference)
+  }
+
+  test("countAtMost matches filter, and a view starting above lb costs nothing (200 random cases)") {
+    for (_ <- 1 to 200) {
+      val a = randomSortedSet()
+      val lb = rnd.nextInt(320) - 10
+      val wc = new WorkCounter
+      assert(SetOps.countAtMost(a, 0, a.length, lb, wc) == a.count(_ <= lb))
+      if (a.isEmpty || a.head > lb) assert(wc.ops == 0)
+    }
+    assert(SetOps.countAtMost(Array(Int.MinValue, 0), 0, 2, Int.MinValue, new WorkCounter) == 1)
+    assert(SetOps.countAtMost(Array(0, Int.MaxValue), 0, 2, Int.MaxValue, new WorkCounter) == 2)
+  }
+
+  test("the prefix skipped below lb costs its search steps, not its elements") {
+    val a = Array.range(0, 100)
+    val searchSteps = 2 * 7 // 2 · ⌈log2 101⌉
+    val wc = new WorkCounter
+    val out = new Array[Int](100)
+    val len = SetOps.intersect(a, 0, 100, a, 0, 100, out, wc, lb = 89)
+    assert(out.take(len).toSeq == (90 until 100))
+    assert(wc.ops <= searchSteps + 20) // the merge advances 10 + 10
+    val wcD = new WorkCounter
+    assert(SetOps.difference(a, 0, 100, a, 0, 100, out, wcD, lb = 89) == 0)
+    assert(wcD.ops <= searchSteps + 20)
+  }
+
+  test("difference reports the steps it takes, on completion and early exit alike") {
+    val out = new Array[Int](8)
+    def work(a: Array[Int], b: Array[Int], ub: Int = Int.MaxValue, lb: Int = Int.MinValue): Long = {
+      val wc = new WorkCounter
+      SetOps.difference(a, 0, a.length, b, 0, b.length, out, wc, ub, lb)
+      wc.ops
+    }
+    assert(work(Array(1, 2, 3), Array(10, 20, 30, 40)) == 3)    // B never advances
+    assert(work(Array(5, 6), Array(1, 2, 3, 4)) == 6)           // all of B is passed
+    assert(work(Array(1, 3, 5, 7), Array(2, 3), ub = 5) == 3)   // early exit at 5: i = 2, j = 1
+    // lb = 3: 2 + 1 search steps trim both lists, then i − i0 = 2, j − j0 = 0
+    assert(work(Array(1, 3, 5, 7), Array(2, 3), lb = 3) == 5)
+  }
+
   test("work counters are populated") {
     val wc = new WorkCounter
     val out = new Array[Int](4)
