@@ -45,14 +45,13 @@ final case class TableResult(
 
 /** Builds every evaluation table of the paper from measured engine metrics
   * plus the cost model. Graphs are supplied by a loader so tests can run
-  * the same code at tiny scale.
+  * the same code at tiny scale (`repro.TestGraphs.tinyLoader`).
   */
 object Tables {
 
   type Loader = DataGraphs.Spec => CSRGraph
 
   val benchLoader: Loader = DataGraphs.build
-  val tinyLoader: Loader = DataGraphs.tiny
 
   /** One mined column: the exact count plus each system's simulated time. */
   final case class SystemSims(count: Long, sims: Map[String, Sim])

@@ -12,7 +12,8 @@ import repro.setops.{SetOps, WorkCounter}
   * (opt J); only LGS switches to vertex tasks. Buffer reuse (opt K) and
   * merges bounded by the symmetry order (set bounding inside the merge,
   * §6.1: start above the lower bound, exit early at the upper one) are on
-  * unless `wholeListScans` is set.
+  * unless `wholeListScans` is set. Either way each level's bounds are
+  * applied once: by its merges, or by one cut of the finished set.
   *
   * @param orientation    DAG orientation for cliques (opt A)
   * @param countingOnly   counting-only run (opt D). The engine does not
@@ -25,6 +26,7 @@ import repro.setops.{SetOps, WorkCounter}
   * @param wholeListScans Pangolin's extend-then-filter scan volume: no
   *                       buffer reuse (opt K) and no set bounding in the
   *                       merges (§6.1), so every level merges whole lists
+  *                       and cuts the result to its bounds afterwards
   */
 final case class DfsConfig(
     orientation: Boolean = true,
@@ -58,13 +60,11 @@ final case class Metrics(
   * out the LGS root, whose neighbours are all local vertices; `unmatched`
   * holds the earlier positions a candidate may equal (neither in the
   * plan's `conn` nor the LGS root); `reuse` is the position whose set
-  * equals this one (opt K) or −1; `bounded` merges the set under the
-  * level's symmetry bounds (§6.1): the first input is trimmed to the
-  * elements above the lower bound and the merges start there and stop at
-  * the upper bound, so `boundedLo` has nothing left to drop. It holds
-  * when the level computes its own set and no later level (which may
-  * need more) reuses it; a level that reads a reused set gets it
-  * untrimmed.
+  * equals this one (opt K) or −1; `bounded` means the merges apply the
+  * level's symmetry bounds (§6.1), so the set they return is exactly its
+  * candidates. It holds when the level computes its own set, lends it to
+  * no later level (which may need more) and merges at least once; every
+  * other level is cut to its bounds after the set is built.
   */
 private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers: Array[Int],
                           val lowers: Array[Int], val unmatched: Array[Int], val reuse: Int,
@@ -108,11 +108,13 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       case _ => -1
     }
     null +: Array.tabulate(k - 1) { li =>
-      val i = li + 1; val spec = plan.levels(li)
-      new Level(spec.conn.filter(_ != root).toArray, spec.anti.toArray, spec.uppers.toArray,
+      val i = li + 1; val spec = plan.levels(li); val conn = spec.conn.filter(_ != root).toArray
+      // every input after the first (the LGS identity view when conn is empty) is one merge
+      val merges = math.max(conn.length, 1) - 1 + spec.anti.length
+      new Level(conn, spec.anti.toArray, spec.uppers.toArray,
         spec.lowers.map(j => if (j == root) k else j).toArray,
         (0 until i).filter(j => j != root && !spec.conn.contains(j)).toArray,
-        reuse(i), bounded = !cfg.wholeListScans && reuse(i) < 0 && !reuse.contains(i))
+        reuse(i), bounded = !cfg.wholeListScans && reuse(i) < 0 && !reuse.contains(i) && merges > 0)
     }
   }
   private val fuseAt = if (plan.fusedCount) k - 2 else -1
@@ -146,7 +148,11 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     s
   }
 
-  /** Compute (or reuse) the candidate set for position i. */
+  /** Compute (or reuse) the candidate set for position i. The merges of a
+    * bounded level take its symmetry bounds (§6.1): each skips its inputs'
+    * prefix up to the lower bound and exits early at the upper one. An
+    * empty bound list gives a key that bounds nothing.
+    */
   private def computeCands(i: Int): Unit = {
     val lv = levels(i)
     if (lv.reuse >= 0) {
@@ -155,10 +161,6 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       savedWork += lenSum(lv.conn) + lenSum(lv.anti)
       return
     }
-    // Merge under the symmetry bounds (§6.1): the first input is trimmed to
-    // the elements above the lower bound (the search `boundedLo` would make
-    // after the merge), and the merges start there and exit early at the
-    // upper bound. An empty bound list gives a key that bounds nothing.
     val ub = if (lv.bounded) minKey(lv.uppers) else Int.MaxValue
     val lb = if (lv.bounded) maxKey(lv.lowers) else Int.MinValue
     val conn = lv.conn; var arr: Array[Int] = null; var off = 0; var len = 0
@@ -167,10 +169,6 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     } else {
       val c0 = matched(conn(0))
       arr = nbrA; off = nOff(c0); len = nLen(c0)
-    }
-    if (lv.bounded && lv.lowers.length > 0) {
-      val skip = SetOps.countBelow(arr, off, len, lb + 1, wc)
-      off += skip; len -= skip
     }
     var ci = 1
     while (ci < conn.length) {
@@ -187,22 +185,6 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       ai += 1
     }
     candArr(i) = arr; candOff(i) = off; candLen(i) = len
-  }
-
-  /** Index into candArr(i) of the first candidate above every lower bound;
-    * a bounded level's set starts there already.
-    */
-  private def boundedLo(i: Int): Int = {
-    val lowers = levels(i).lowers
-    if (lowers.length == 0 || levels(i).bounded) candOff(i)
-    else candOff(i) + SetOps.countBelow(candArr(i), candOff(i), candLen(i), maxKey(lowers) + 1, wc)
-  }
-
-  /** Index into candArr(i) past the last candidate below every upper bound. */
-  private def boundedHi(i: Int): Int = {
-    val uppers = levels(i).uppers
-    if (uppers.length == 0) candOff(i) + candLen(i)
-    else candOff(i) + SetOps.countBelow(candArr(i), candOff(i), candLen(i), minKey(uppers), wc)
   }
 
   /** Count matched vertices that appear inside [lo, hi) of candArr(i) —
@@ -231,15 +213,20 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
   private def descend(i: Int): Unit = {
     if (i == fuseAt) { fusedLeaf(i); return }
     computeCands(i)
-    val hi = boundedHi(i)
-    val lo = boundedLo(i)
+    val lv = levels(i); val arr = candArr(i)
+    var lo = candOff(i); var hi = lo + candLen(i)
+    // The one cut of a set its merges did not bound: the lower bound, then
+    // the upper bound above it. No lower bound is Int.MinValue: a free no-op.
+    if (!lv.bounded) {
+      lo += SetOps.countAtMost(arr, lo, hi - lo, maxKey(lv.lowers), wc)
+      if (lv.uppers.length > 0) hi = lo + SetOps.countBelow(arr, lo, hi - lo, minKey(lv.uppers), wc)
+    }
     if (i == k - 1) {
       val c = (hi - lo) - matchedInRange(i, lo, hi)
       count += c
       lvl(i) += c
     } else {
-      val arr = candArr(i)
-      val unmatched = levels(i).unmatched
+      val unmatched = lv.unmatched
       var idx = lo
       while (idx < hi) {
         val v = arr(idx)

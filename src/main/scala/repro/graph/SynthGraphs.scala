@@ -146,10 +146,4 @@ object DataGraphs {
   def build(s: Spec): CSRGraph =
     cache.getOrElseUpdate(s.name,
       SynthGraphs.powerLaw(s.n, s.e, s.alpha, s.seed, s.labels, closure = s.closure, plantCliques = s.cliques))
-
-  /** Tiny variants of the same specs for unit tests. */
-  def tiny(s: Spec): CSRGraph =
-    cache.getOrElseUpdate(s.name + "-tiny",
-      SynthGraphs.powerLaw(math.max(60, s.n / 40), math.max(90, s.e / 40), s.alpha, s.seed, s.labels,
-        closure = s.closure, plantCliques = s.cliques.take(2).map(c => math.max(4, c / 6))))
 }

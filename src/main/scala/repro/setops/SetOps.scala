@@ -9,6 +9,8 @@ package repro.setops
   * bounds (set bounding, §6.1): they skip each list's prefix up to an
   * exclusive lower bound by binary search and exit early at an exclusive
   * upper bound, so the merge spends no step on a candidate a bound drops.
+  * A set built without bounds is cut by [[countAtMost]] and [[countBelow]],
+  * which share one binary search.
   *
   * Outputs are always written from index 0 of `out`. In-place chaining
   * (`out eq a` with offset 0) is safe for intersect/difference because the
@@ -87,18 +89,12 @@ object SetOps {
   }
 
   /** Number of elements of the view strictly below `bound` — the paper's
-    * "set bounding" primitive, via binary search (early exit on sorted
-    * lists after symmetry breaking).
+    * "set bounding" primitive (§6.1): [[countAtMost]]`(bound − 1)`, so a
+    * view that starts at or above `bound` costs nothing. No element lies
+    * below `Int.MinValue`.
     */
-  def countBelow(a: Array[Int], off: Int, len: Int, bound: Int, wc: WorkCounter): Int = {
-    var lo = 0; var hi = len
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (a(off + mid) < bound) lo = mid + 1 else hi = mid
-      wc.add(1)
-    }
-    lo
-  }
+  def countBelow(a: Array[Int], off: Int, len: Int, bound: Int, wc: WorkCounter): Int =
+    if (bound == Int.MinValue) 0 else countAtMost(a, off, len, bound - 1, wc)
 
   /** Membership test via binary search over the view. */
   def contains(a: Array[Int], off: Int, len: Int, x: Int, wc: WorkCounter): Boolean = {

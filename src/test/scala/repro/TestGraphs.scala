@@ -1,7 +1,8 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import repro.graph.{CSRGraph, SynthGraphs}
+import repro.bench.Tables
+import repro.graph.{CSRGraph, DataGraphs, SynthGraphs}
 
 /** Shared small graph fixtures for cross-checking engines against the
   * naive matcher and the DuckDB oracle. All deterministic, and each one
@@ -29,6 +30,19 @@ object TestGraphs {
   lazy val empty: CSRGraph = checked(CSRGraph.fromEdges(0, Nil))
 
   def checked(g: CSRGraph): CSRGraph = { g.validate(); g }
+
+  private val tinyCache = scala.collection.concurrent.TrieMap.empty[String, CSRGraph]
+
+  /** Tiny variant of a [[DataGraphs]] analog (about 1/40 of its size), built
+    * once per spec.
+    */
+  def tiny(s: DataGraphs.Spec): CSRGraph =
+    tinyCache.getOrElseUpdate(s.name,
+      SynthGraphs.powerLaw(math.max(60, s.n / 40), math.max(90, s.e / 40), s.alpha, s.seed, s.labels,
+        closure = s.closure, plantCliques = s.cliques.take(2).map(c => math.max(4, c / 6))))
+
+  /** The table runners' loader at tiny scale. */
+  val tinyLoader: Tables.Loader = tiny
 
   /** Fixtures for engine cross-checks (name, graph). */
   def forMatching: Seq[(String, CSRGraph)] = Seq(

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 import repro.cost.CostModel.{G2MinerGpu, Sim}
 import repro.engine.{DfsConfig, DfsEngine}
 import repro.graph.DataGraphs
@@ -12,7 +12,7 @@ import repro.plan.Planner
   * numbers come from bench/.
   *
   * The golden file `src/test/resources/tables-tiny.txt` is the rendered
-  * output of `table4`…`table9` and `multigpu` with `Tables.tinyLoader`, each
+  * output of `table4`…`table9` and `multigpu` with `TestGraphs.tinyLoader`, each
   * followed by a newline, as `TableJob` prints them. When the output
   * differs, the golden test writes the new rendering to
   * `target/tables-tiny.txt`; to regenerate after an intended change of
@@ -21,13 +21,13 @@ import repro.plan.Planner
 class TablesSpec extends SparkSpec {
 
   // one run per table, shared by the tests that read it
-  private lazy val t4 = Tables.table4(spark, Tables.tinyLoader)
-  private lazy val t5 = Tables.table5(spark, Tables.tinyLoader)
-  private lazy val t6 = Tables.table6(spark, Tables.tinyLoader)
-  private lazy val t7 = Tables.table7(spark, Tables.tinyLoader)
-  private lazy val t8 = Tables.table8(spark, Tables.tinyLoader)
-  private lazy val t9 = Tables.table9(spark, Tables.tinyLoader)
-  private lazy val multiGpu = Tables.multiGpuScaling(spark, Tables.tinyLoader)
+  private lazy val t4 = Tables.table4(spark, TestGraphs.tinyLoader)
+  private lazy val t5 = Tables.table5(spark, TestGraphs.tinyLoader)
+  private lazy val t6 = Tables.table6(spark, TestGraphs.tinyLoader)
+  private lazy val t7 = Tables.table7(spark, TestGraphs.tinyLoader)
+  private lazy val t8 = Tables.table8(spark, TestGraphs.tinyLoader)
+  private lazy val t9 = Tables.table9(spark, TestGraphs.tinyLoader)
+  private lazy val multiGpu = Tables.multiGpuScaling(spark, TestGraphs.tinyLoader)
 
   private def allDefined(t: TableResult): Unit =
     for (s <- t.systems; c <- t.columns)
@@ -93,7 +93,7 @@ class TablesSpec extends SparkSpec {
   test("multi-GPU scaling simulates every task of both 3-motif patterns") {
     // the wedge runs every arc and the triangle one task per edge: one
     // device under even split does all of both lists' work
-    val g = Tables.tinyLoader(DataGraphs.tw2)
+    val g = TestGraphs.tinyLoader(DataGraphs.tw2)
     val works = Patterns.motifs(3).map(p =>
       DfsEngine.perTaskWork(g, Planner.plan(p, induced = true), DfsConfig(orientation = false)))
     assert(works.map(_.length).distinct.length == 2)

@@ -4,7 +4,8 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.graph.CSRGraph
 import repro.pattern.{Pattern, PatternNames, Patterns}
-import repro.plan.{Planner, SearchPlan}
+import repro.plan.{LevelSpec, Planner, SearchPlan}
+import repro.setops.{SetOps, WorkCounter}
 
 /** The core correctness matrix: every pattern × every fixture × both
   * induced modes, DFS engine (all config variants) vs the pattern-oblivious
@@ -165,6 +166,21 @@ class DfsEngineSpec extends AnyFunSuite {
       for ((gName, g) <- TestGraphs.forMatching)
         assert(DfsEngine.runLocal(g, plan, cfg).count ==
           NaiveMatcher.countUnique(g, Patterns.diamond, induced = false), gName)
+    }
+
+  // A bounded level's merges return exactly its candidates, so nothing
+  // searches the set again: the unoriented triangle's work is its merges'.
+  for ((gName, g) <- Seq("pl-mild" -> TestGraphs.plMild, "pl-skew" -> TestGraphs.plSkew))
+    test(s"no search follows a bounded merge: unoriented triangle work is its intersections' on $gName") {
+      val plan = Planner.plan(Patterns.triangle, induced = false)
+      assert(plan.rootEdgeCond.contains(false)) // edge tasks (v0, v1) with v1 < v0
+      assert(plan.levels(1) == LevelSpec(Vector(0, 1), Vector.empty, Vector(1), Vector.empty))
+      val out = new Array[Int](math.max(1, g.maxDegree)); val wc = new WorkCounter
+      for (v0 <- 0 until g.n; v1 <- g.nbrs.slice(g.nbrStart(v0), g.nbrEnd(v0)) if v1 < v0)
+        SetOps.intersect(g.nbrs, g.offsets(v0), g.deg(v0), g.nbrs, g.offsets(v1), g.deg(v1), out, wc, ub = v1)
+      val m = DfsEngine.runLocal(g, plan, DfsConfig(orientation = false))
+      assert(m.tasks == g.numEdges)
+      assert(m.setOpWork == wc.ops)
     }
 
   test("edgelist reduction halves tasks when a root condition exists") {

@@ -52,7 +52,7 @@ class SparkDfsSpec extends SparkSpec {
   }
 
   test("Spark run on a DataGraphs tiny analog") {
-    val g = repro.graph.DataGraphs.tiny(repro.graph.DataGraphs.lj)
+    val g = TestGraphs.tiny(repro.graph.DataGraphs.lj)
     val m = DfsEngine.run(spark, g, Planner.plan(Patterns.triangle, induced = false), DfsConfig())
     assert(m.count == NaiveMatcher.countUnique(g, Patterns.triangle, induced = false))
   }

@@ -142,7 +142,7 @@ class FsmSpec extends SparkSpec {
   // blockRows = 64 spreads each level of Mi's tiny analog over many
   // partitions (up to 256), so copies of one embedding found on different
   // partitions must meet in the dedupe shuffle.
-  private lazy val miTiny = DataGraphs.tiny(DataGraphs.mi)
+  private lazy val miTiny = TestGraphs.tiny(DataGraphs.mi)
   private lazy val miTinyRef = FsmRef.mine(miTiny, maxEdges = 3)
 
   for (sigma <- Seq(1L, 3L); blockRows <- Seq(64L, 1L << 16))
@@ -167,7 +167,7 @@ class FsmSpec extends SparkSpec {
     }
 
   test("FSM on a labeled DataGraphs tiny analog completes") {
-    val g = repro.graph.DataGraphs.tiny(repro.graph.DataGraphs.mi)
+    val g = TestGraphs.tiny(repro.graph.DataGraphs.mi)
     val res = Fsm.run(spark, g, Fsm.FsmConfig(minSupport = 2, maxEdges = 3))
     assert(res.frequent.nonEmpty)
   }

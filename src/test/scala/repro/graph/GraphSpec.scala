@@ -144,7 +144,7 @@ class GraphSpec extends AnyFunSuite {
   test("DataGraphs tiny variants build and stay small") {
     import DataGraphs._
     for (s <- Seq(lj, or, tw2, tw4, fr, uk, mi, pa, yo)) {
-      val g = DataGraphs.tiny(s)
+      val g = TestGraphs.tiny(s)
       g.validate()
       assert(g.n <= s.n && g.numEdges > 0)
       if (s.labels > 0) assert(g.labeled)

@@ -41,6 +41,27 @@ class SetOpsSpec extends AnyFunSuite {
     }
   }
 
+  test("countBelow is countAtMost(bound - 1) in result and steps, on random offset views (200 cases)") {
+    for (_ <- 1 to 200) {
+      val a = randomSortedSet()
+      val off = rnd.nextInt(a.length + 1); val len = a.length - off
+      val bound = rnd.nextInt(320) - 10
+      val wcB = new WorkCounter; val wcA = new WorkCounter
+      assert(SetOps.countBelow(a, off, len, bound, wcB) == SetOps.countAtMost(a, off, len, bound - 1, wcA))
+      assert(wcB.ops == wcA.ops, s"a=${a.toSeq} off=$off bound=$bound")
+    }
+  }
+
+  test("countBelow returns 0 at Int.MinValue and costs nothing on a view starting at or above the bound") {
+    val a = Array(Int.MinValue, -5, 3, 8, 13, 21)
+    val wc = new WorkCounter
+    assert(SetOps.countBelow(a, 0, a.length, Int.MinValue, wc) == 0)
+    assert(SetOps.countBelow(a, 2, 4, 3, wc) == 0)  // starts at the bound
+    assert(SetOps.countBelow(a, 3, 3, 5, wc) == 0)  // starts above it
+    assert(wc.ops == 0)
+    assert(SetOps.countBelow(a, 0, a.length, 9, wc) == 4 && wc.ops > 0)
+  }
+
   test("contains matches Set membership (200 random cases)") {
     for (_ <- 1 to 200) {
       val a = randomSortedSet()
