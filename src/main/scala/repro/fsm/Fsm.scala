@@ -5,7 +5,6 @@ import scala.jdk.CollectionConverters._
 import scala.reflect.ClassTag
 import java.util.concurrent.ConcurrentHashMap
 import org.apache.spark.HashPartitioner
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import repro.graph.CSRGraph
@@ -15,16 +14,18 @@ import repro.pattern.{Pattern, Patterns}
   * support, the paper's §5.2/§7.2 workload.
   *
   * The embedding lists live in plain RDDs and grow level by level (bounded
-  * BFS, optimization M): the partition count is sized from the row count so
-  * each "block" of embeddings fits the simulated device budget. A level
-  * costs two shuffles. The first deduplicates the extended embeddings,
-  * which are already distinct within each map partition. The second
-  * carries (pattern, orbit, vertex) triples, distinct within each map
-  * partition, and counts distinct vertices per (pattern, orbit) on the
-  * reduce side; a pattern's support is the minimum over its orbits, taken
-  * on the driver. Orbits are unions over pattern automorphisms, so MNI
-  * matches the GraMi definition. Label-frequency pruning (optimization N)
-  * removes vertices whose label cannot appear in any frequent pattern.
+  * BFS, optimization M): the block (partition) count is sized from the row
+  * count. A level costs one shuffle and one Spark job. The shuffle sends
+  * each embedding, already distinct within its map partition, to the block
+  * of its pattern, so a block holds every copy of each of its embeddings
+  * and every embedding of each of its patterns. The block deduplicates its
+  * rows and counts its patterns' MNI supports: per automorphism orbit, the
+  * distinct vertices in its positions, minimised over the orbits. Orbits
+  * are unions over pattern automorphisms, so MNI matches the GraMi
+  * definition. A task's memory is bounded by the largest block, the
+  * embeddings of the patterns hashed to it; `blockRows` only sets the
+  * block count. Label-frequency pruning (optimization N) removes vertices
+  * whose label cannot appear in any frequent pattern.
   */
 object Fsm {
 
@@ -57,10 +58,9 @@ object Fsm {
   final case class FsmResult(frequent: Map[String, Long], allSupports: Map[String, Long],
                              metrics: FsmMetrics)
 
-  /** A pattern's canonical code with an int tuple: an embedding's data
-    * vertices in canonical position order, or a support triple's
-    * (orbit, vertex). Equality and hash are by value, so a hash set
-    * deduplicates rows.
+  /** An embedding: its pattern's canonical code and its data vertices in
+    * canonical position order. Equality and hash are by value, so a hash
+    * set deduplicates rows.
     */
   private final class Row(val code: String, val vs: Array[Int]) extends Serializable {
     override def hashCode: Int = 31 * code.hashCode + java.util.Arrays.hashCode(vs)
@@ -158,6 +158,8 @@ object Fsm {
 
     // Partition count models the bounded-BFS blocks (optimization M); it
     // never drops below the default parallelism, so every core gets a block.
+    // A block holds every embedding of the patterns hashed to it, so the
+    // largest block, not blockRows, bounds a task's memory.
     def blocks(rows: Long): Int =
       math.max(sc.defaultParallelism, math.min(256L, rows / cfg.blockRows + 1).toInt)
 
@@ -176,37 +178,39 @@ object Fsm {
       var freqPats = Vector.empty[Int]
       var extWork = 0L
 
-      // --- level 1: single-edge embeddings, distinct by construction ----
+      // --- level 1: single-edge embeddings, built on the driver ----------
       val lvl1 = singleEdgeEmbeddings(mineGraph)
       extWork += mineGraph.numArcs.toLong
-      cur = sc.parallelize(lvl1, blocks(lvl1.size)).glom().persist()
       var rows = lvl1.size.toLong
       var freqCodes = Set.empty[String]
 
       for (level <- 1 to cfg.maxEdges) {
-        // --- levels 2..maxEdges: edge extension + one dedupe shuffle ----
-        if (level > 1) {
-          val fc = freqCodes
-          val extended = cur.mapPartitions { it =>
-            val gg = bc.value
-            val cache = patterns.value
-            distinct(it.flatMap(_.iterator).filter(e => fc.contains(e.code)).flatMap(extensions(_, gg, cache)))
-              .iterator
+        val parts = blocks(if (level == 1) rows else rows * 8)
+        val found =
+          if (level == 1) sc.parallelize(lvl1, parts)
+          else { // --- levels 2..maxEdges: edge extension -----------------
+            val fc = freqCodes
+            extWork += estimateExtensionWork(rows, mineGraph)
+            cur.mapPartitions { it =>
+              val gg = bc.value
+              val cache = patterns.value
+              distinct(it.flatMap(_.iterator).filter(e => fc.contains(e.code)).flatMap(extensions(_, gg, cache)))
+                .iterator
+            }
           }
-          val parts = blocks(rows * 8)
-          next = shuffle(extended, parts)(e => Math.floorMod(e.hashCode, parts))
-            .mapPartitions(it => Iterator(distinct(it)), preservesPartitioning = true)
-            .persist()
-          val nextRows = next.map(_.length.toLong).fold(0L)(_ + _)
-          cur.unpersist()
-          cur = next
-          next = null
-          extWork += estimateExtensionWork(rows, mineGraph)
-          rows = nextRows
-        }
+        // One shuffle keyed by pattern: a block dedupes its rows and, since
+        // it holds all of its patterns' embeddings, counts their supports.
+        next = shuffle(found, parts)
+          .mapPartitions(it => Iterator(distinct(it)), preservesPartitioning = true)
+          .persist()
+        val counted = next.map(block => (block.length.toLong, blockSupports(block, patterns.value))).collect()
+        if (cur != null) cur.unpersist()
+        cur = next
+        next = null
+        rows = counted.map(_._1).sum
         levelEmb :+= rows
 
-        val sup = supports(cur, patterns)
+        val sup = counted.iterator.flatMap(_._2).toMap
         freqCodes = sup.filter(_._2 >= cfg.minSupport).keySet
         allSupports ++= sup
         frequent ++= sup.filter(_._2 >= cfg.minSupport)
@@ -276,77 +280,57 @@ object Fsm {
     out.iterator
   }
 
-  /** MNI support of every pattern in `embs`. The domain of position i is
-    * the union, over the automorphism orbit of i, of the vertices in those
-    * positions, so the shuffle carries (pattern, orbit, vertex) triples,
-    * distinct within each map partition; the reduce side counts distinct
-    * vertices per (pattern, orbit) and the driver takes the minimum.
+  /** MNI support of every pattern in `block`, which holds all of its
+    * patterns' embeddings. The domain of position i is the union, over the
+    * automorphism orbit of i, of the vertices in those positions; a
+    * pattern's support is its smallest domain.
     */
-  private def supports(embs: RDD[Array[Row]], patterns: Broadcast[PatternCache]): Map[String, Long] = {
-    val triples = embs.mapPartitions { it =>
-      val cache = patterns.value
-      val doms = new Domains
-      it.flatMap(_.iterator).foreach { e =>
-        val orbits = cache(e.code).orbits
-        var i = 0
-        while (i < e.vs.length) { doms.add(e.code, orbits(i), e.vs(i)); i += 1 }
-      }
-      doms.distinct
+  private def blockSupports(block: Array[Row], cache: PatternCache): Map[String, Long] = {
+    val doms = new Domains(block.iterator.map(_.vs.length).sum)
+    block.foreach { e =>
+      val orbits = cache(e.code).orbits
+      var i = 0
+      while (i < e.vs.length) { doms.add(e.code, orbits(i), e.vs(i)); i += 1 }
     }
-    val parts = embs.getNumPartitions
-    shuffle(triples, parts)(t => Math.floorMod(31 * t.code.hashCode + t.vs(0), parts))
-      .mapPartitions { it =>
-        val doms = new Domains
-        it.foreach(t => doms.add(t.code, t.vs(0), t.vs(1)))
-        doms.sizes
-      }
-      .collect()
-      .groupMapReduce(_._1._1)(_._2)(math.min)
+    doms.sizes.toSeq.groupMapReduce(_._1._1)(_._2)(math.min)
   }
 
-  /** (pattern, orbit) -> vertex pairs, packed as (key id, vertex) longs so
-    * that deduplication is a primitive sort rather than a set of objects.
+  /** Up to `size` (pattern, orbit) -> vertex pairs, packed as (key id,
+    * vertex) longs so that deduplication is a primitive sort rather than a
+    * set of objects.
     */
-  private final class Domains {
+  private final class Domains(size: Int) {
     private val idsByCode = mutable.HashMap.empty[String, Array[Int]] // by orbit, -1 = none yet
     private val keys = mutable.ArrayBuffer.empty[(String, Int)]
-    private var buf = new Array[Long](1024)
+    private val buf = new Array[Long](size)
     private var len = 0
 
     def add(code: String, orbit: Int, v: Int): Unit = {
       val ids = idsByCode.getOrElseUpdate(code, Array.fill(8)(-1)) // a pattern has at most 8 orbits
       if (ids(orbit) < 0) { ids(orbit) = keys.length; keys += ((code, orbit)) }
-      if (len == buf.length) buf = java.util.Arrays.copyOf(buf, 2 * len)
       buf(len) = (ids(orbit).toLong << 32) | v
       len += 1
     }
 
-    /** Distinct packed pairs, sorted. */
-    private def sorted(): Iterator[Long] = {
-      java.util.Arrays.sort(buf, 0, len)
-      Iterator.range(0, len).filter(i => i == 0 || buf(i) != buf(i - 1)).map(buf(_))
-    }
-
-    /** Distinct pairs as rows (code, [orbit, vertex]). */
-    def distinct: Iterator[Row] =
-      sorted().map { x => val (code, orbit) = keys((x >>> 32).toInt); new Row(code, Array(orbit, x.toInt)) }
-
     /** Distinct vertices per key. */
     def sizes: Iterator[((String, Int), Long)] = {
+      java.util.Arrays.sort(buf, 0, len)
       val n = new Array[Long](keys.length)
-      sorted().foreach(x => n((x >>> 32).toInt) += 1)
+      var i = 0
+      while (i < len) { if (i == 0 || buf(i) != buf(i - 1)) n((buf(i) >>> 32).toInt) += 1; i += 1 }
       keys.iterator.zip(n.iterator)
     }
   }
 
-  /** Moves each row to partition `dest(row)` of `parts`. A map task sends
-    * one columnar block per destination, which Java serialization writes
-    * as a few bulk arrays instead of one object per row.
+  /** Moves each row to the block of its pattern, one of `parts`. A map
+    * task sends one columnar block per destination, which Java
+    * serialization writes as a few bulk arrays instead of one object per
+    * row.
     */
-  private def shuffle(rows: RDD[Row], parts: Int)(dest: Row => Int): RDD[Row] =
+  private def shuffle(rows: RDD[Row], parts: Int): RDD[Row] =
     rows.mapPartitions { it =>
       val out = Array.fill(parts)(new ColumnsBuilder)
-      it.foreach(r => out(dest(r)).add(r))
+      it.foreach(r => out(Math.floorMod(r.code.hashCode, parts)).add(r))
       Iterator.range(0, parts).filter(out(_).nonEmpty).map(p => (p, out(p).result()))
     }.partitionBy(new HashPartitioner(parts))
       .mapPartitions(_.flatMap(_._2.rows), preservesPartitioning = true)

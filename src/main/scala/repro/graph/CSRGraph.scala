@@ -100,8 +100,8 @@ final class CSRGraph(
 
   /** Local graph (optimization E, Fig. 7): the subgraph induced by N(root),
     * with vertices renamed 0..d-1 preserving id order (so symmetry bounds
-    * survive renaming). Returns (localGraph, localId -> globalId) and the
-    * set-op work spent building it.
+    * survive renaming). Returns (localGraph, localId -> globalId) and adds
+    * the set-op work spent building it to `wc`.
     */
   def localGraph(root: Int, wc: repro.setops.WorkCounter): (CSRGraph, Array[Int]) = {
     val d = deg(root)

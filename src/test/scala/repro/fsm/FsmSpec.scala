@@ -155,6 +155,8 @@ class FsmSpec extends SparkSpec {
         // every connected edge subset is one canonical embedding
         assert(got.metrics.levelEmbeddings == miTinyRef.subsets)
       }
+      val other = if (blockRows == 64L) 1L << 16 else 64L
+      assert(got.metrics == Fsm.run(spark, miTiny, Fsm.FsmConfig(minSupport = sigma, blockRows = other)).metrics)
     }
 
   for ((field, cfg) <- Seq[(String, () => Fsm.FsmConfig)](
