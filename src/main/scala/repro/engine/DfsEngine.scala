@@ -9,11 +9,12 @@ import repro.setops.{SetOps, WorkCounter}
 
 /** Configuration knobs mirroring the paper's optimization letters (Table 2).
   * Tasks are always edge-parallel (§5.1 (2)) with edgelist reduction
-  * (opt J); only LGS switches to vertex tasks. Buffer reuse (opt K) and
-  * merges bounded by the symmetry order (set bounding inside the merge,
-  * §6.1: start above the lower bound, exit early at the upper one) are on
-  * unless `wholeListScans` is set. Either way each level's bounds are
-  * applied once: by its merges, or by one cut of the finished set.
+  * (opt J); only LGS switches to vertex tasks. Buffer reuse (opt K),
+  * incremental sets and merges bounded by the symmetry order (set
+  * bounding inside the merge, §6.1: start above the lower bound, exit
+  * early at the upper one) are on unless `wholeListScans` is set. Either
+  * way each level's bounds are applied once: by its merges, or by one cut
+  * of the finished set.
   *
   * @param orientation    DAG orientation for cliques (opt A)
   * @param countingOnly   counting-only run (opt D). The engine does not
@@ -24,9 +25,10 @@ import repro.setops.{SetOps, WorkCounter}
   *                       inputs whose maximum degree is at most
   *                       [[DfsEngine.LgsMaxDegree]]
   * @param wholeListScans Pangolin's extend-then-filter scan volume: no
-  *                       buffer reuse (opt K) and no set bounding in the
-  *                       merges (§6.1), so every level merges whole lists
-  *                       and cuts the result to its bounds afterwards
+  *                       buffer reuse (opt K), no incremental sets
+  *                       (`SearchPlan.extendsParent`) and no set bounding
+  *                       in the merges (§6.1), so every level merges whole
+  *                       lists and cuts the result to its bounds afterwards
   */
 final case class DfsConfig(
     orientation: Boolean = true,
@@ -38,7 +40,10 @@ final case class DfsConfig(
 /** Aggregated run metrics. `levelNodes(i)` is the number of valid partial
   * embeddings of search positions 0..i — exactly the subgraph-list sizes a
   * BFS engine would materialize level by level, which the cost model uses
-  * to derive Pangolin/PBE memory footprints.
+  * to derive Pangolin/PBE memory footprints. `bufferSavedWork` is the
+  * merge work that opt K's exact-set reuse skipped; the work an
+  * incremental level saves by starting from its parent's set is not in it
+  * (it shows only as a smaller `setOpWork`).
   */
 final case class Metrics(
     count: Long,
@@ -60,7 +65,9 @@ final case class Metrics(
   * out the LGS root, whose neighbours are all local vertices; `unmatched`
   * holds the earlier positions a candidate may equal (neither in the
   * plan's `conn` nor the LGS root); `reuse` is the position whose set
-  * equals this one (opt K) or −1; `bounded` means the merges apply the
+  * equals this one (opt K) or −1; `extend` means the set starts from the
+  * previous position's candidates, and `conn` and `anti` then hold only
+  * the lists that set lacks; `bounded` means the merges apply the
   * level's symmetry bounds (§6.1), so the set they return is exactly its
   * candidates. It holds when the level computes its own set, lends it to
   * no later level (which may need more) and merges at least once; every
@@ -68,7 +75,7 @@ final case class Metrics(
   */
 private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers: Array[Int],
                           val lowers: Array[Int], val unmatched: Array[Int], val reuse: Int,
-                          val bounded: Boolean)
+                          val extend: Boolean, val bounded: Boolean)
 
 /** Single-threaded plan interpreter, one instance per Spark partition (or
   * `perTaskWork` thread), which runs its stripe of the canonical task
@@ -108,13 +115,19 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       case _ => -1
     }
     null +: Array.tabulate(k - 1) { li =>
-      val i = li + 1; val spec = plan.levels(li); val conn = spec.conn.filter(_ != root).toArray
-      // every input after the first (the LGS identity view when conn is empty) is one merge
-      val merges = math.max(conn.length, 1) - 1 + spec.anti.length
-      new Level(conn, spec.anti.toArray, spec.uppers.toArray,
+      val i = li + 1; val spec = plan.levels(li)
+      val extend = !cfg.wholeListScans && plan.extendsParent(li)
+      // the lists already merged into the parent's set, if this level extends it
+      val merged = if (extend) plan.levels(li - 1).conn ++ plan.levels(li - 1).anti else Vector()
+      val conn = spec.conn.filter(j => j != root && !merged.contains(j)).toArray
+      val anti = spec.anti.filterNot(merged.contains).toArray
+      // every input after the first (the LGS identity view when conn is
+      // empty) is one merge; an extended set's first input is its parent's
+      val merges = (if (extend) conn.length else math.max(conn.length, 1) - 1) + anti.length
+      new Level(conn, anti, spec.uppers.toArray,
         spec.lowers.map(j => if (j == root) k else j).toArray,
         (0 until i).filter(j => j != root && !spec.conn.contains(j)).toArray,
-        reuse(i), bounded = !cfg.wholeListScans && reuse(i) < 0 && !reuse.contains(i) && merges > 0)
+        reuse(i), extend, bounded = !cfg.wholeListScans && reuse(i) < 0 && !reuse.contains(i) && merges > 0)
     }
   }
   private val fuseAt = if (plan.fusedCount) k - 2 else -1
@@ -148,10 +161,12 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     s
   }
 
-  /** Compute (or reuse) the candidate set for position i. The merges of a
-    * bounded level take its symmetry bounds (§6.1): each skips its inputs'
-    * prefix up to the lower bound and exits early at the upper one. An
-    * empty bound list gives a key that bounds nothing.
+  /** Compute (or reuse) the candidate set for position i. An extending
+    * level starts from position i − 1's candidates and merges only its
+    * extra lists. The merges of a bounded level take its symmetry bounds
+    * (§6.1): each skips its inputs' prefix up to the lower bound and exits
+    * early at the upper one. An empty bound list gives a key that bounds
+    * nothing.
     */
   private def computeCands(i: Int): Unit = {
     val lv = levels(i)
@@ -163,14 +178,15 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     }
     val ub = if (lv.bounded) minKey(lv.uppers) else Int.MaxValue
     val lb = if (lv.bounded) maxKey(lv.lowers) else Int.MinValue
-    val conn = lv.conn; var arr: Array[Int] = null; var off = 0; var len = 0
-    if (conn.length == 0) { // LGS: every local vertex is a neighbor of the root
+    val conn = lv.conn; var arr: Array[Int] = null; var off = 0; var len = 0; var ci = 1
+    if (lv.extend) {
+      arr = candArr(i - 1); off = candOff(i - 1); len = candLen(i - 1); ci = 0
+    } else if (conn.length == 0) { // LGS: every local vertex is a neighbor of the root
       arr = identity; off = 0; len = lg.n
     } else {
       val c0 = matched(conn(0))
       arr = nbrA; off = nOff(c0); len = nLen(c0)
     }
-    var ci = 1
     while (ci < conn.length) {
       val c = matched(conn(ci))
       len = SetOps.intersect(arr, off, len, nbrA, nOff(c), nLen(c), buf(i), wc, ub, lb)

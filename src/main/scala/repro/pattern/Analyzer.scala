@@ -29,41 +29,55 @@ object Analyzer {
       (1 until p.n).forall(i => (0 until i).exists(j => p.isEdge(ord(i), ord(j))))
     }
 
-  /** GraphZero-style cost model: estimate the expected number of search-tree
-    * nodes per level given a generic power-law input (average degree `d`,
-    * intersection selectivity `q`, difference retention `r`), and sum the
-    * per-level costs. Lower is better. Constraints (backward edges) early
-    * in the order shrink the frontier fastest — the model rewards that.
+  /** GraphZero-style cost model, aware of the symmetry order: estimate the
+    * expected number of search-tree nodes per level given a generic
+    * power-law input (average degree `d`, intersection selectivity `q`,
+    * difference retention `r`), and sum the per-level costs. Lower is
+    * better. Constraints (backward edges) early in the order shrink the
+    * frontier fastest — the model rewards that. The order is costed with its
+    * own verified [[symmetryConds]]: after level i the frontier keeps the
+    * share of rank orderings of positions 0..i that satisfy the conditions
+    * among them, over the same share for 0..i−1. A root condition thus
+    * halves level 1; a chain v0 < v1 < v2 keeps 1/6 of level 2's orderings
+    * where v0 < v1, v0 < v2 keeps 1/3.
     */
   def orderCost(p: Pattern, ord: Vector[Int], induced: Boolean,
                 d: Double = 16.0, q: Double = 0.15, r: Double = 0.8): Double = {
+    val pos = p.permuted(ord)
+    cost(pos, symmetryConds(pos), induced, d, q, r)
+  }
+
+  private def cost(pos: Pattern, conds: Vector[(Int, Int)], induced: Boolean,
+                   d: Double = 16.0, q: Double = 0.15, r: Double = 0.8): Double = {
     var frontier = 1.0
     var cost = 0.0
-    for (i <- 1 until p.n) {
-      val conn = (0 until i).count(j => p.isEdge(ord(i), ord(j)))
-      val anti = if (induced) (0 until i).count(j => !p.isEdge(ord(i), ord(j))) else 0
+    var kept = 1.0 // share of the orderings of positions 0..i−1 the conditions keep
+    for (i <- 1 until pos.n) {
+      val conn = (0 until i).count(j => pos.isEdge(i, j))
+      val anti = if (induced) i - conn else 0
       val candidates = d * math.pow(q, (conn - 1).toDouble) * math.pow(r, anti.toDouble)
       cost += frontier * (conn + anti) * d // set-op cost at this level
-      frontier *= candidates
+      val share = orderedShare(i + 1, conds)
+      frontier *= candidates * share / kept
+      kept = share
     }
     cost + frontier
+  }
+
+  /** Share of the rank orderings of positions 0..m−1 that satisfy the
+    * conditions among those positions.
+    */
+  private def orderedShare(m: Int, conds: Vector[(Int, Int)]): Double = {
+    val inside = conds.filter { case (a, b) => a < m && b < m }
+    if (inside.isEmpty) 1.0
+    else { val all = rankPerms(m); all.count(satisfies(_, inside)).toDouble / all.size }
   }
 
   /** Pick the best matching order. Cliques short-circuit to the identity
     * order (all orders are equivalent by symmetry). Deterministic
     * tie-breaking on the order itself.
     */
-  def chooseOrder(p: Pattern, induced: Boolean): Vector[Int] = {
-    if (p.isClique) return (0 until p.n).toVector
-    // Prefer a hub root if one exists (enables local-graph search, §5.4).
-    val all = connectedOrders(p).toVector
-    val hubs = p.hubVertices.toSet
-    val pool = if (hubs.nonEmpty) {
-      val hubFirst = all.filter(o => hubs.contains(o.head))
-      if (hubFirst.nonEmpty) hubFirst else all
-    } else all
-    pool.minBy(o => (orderCost(p, o, induced), o.mkString(",")))
-  }
+  def chooseOrder(p: Pattern, induced: Boolean): Vector[Int] = analyze(p, induced).order
 
   /** All rank assignments (position -> relative id rank) for orbit checks. */
   private def rankPerms(k: Int): Vector[Vector[Int]] =
@@ -131,10 +145,23 @@ object Analyzer {
     conds
   }
 
-  /** Full analysis: order + verified symmetry conditions. */
+  /** Full analysis: the chosen order with its verified symmetry conditions.
+    * Each candidate order's conditions are computed once, for its cost, and
+    * the winner keeps them.
+    */
   def analyze(p: Pattern, induced: Boolean): SearchOrder = {
-    val ord = chooseOrder(p, induced)
-    val pos = p.permuted(ord)
-    SearchOrder(p, ord, pos, symmetryConds(pos))
+    def withConds(ord: Vector[Int]): SearchOrder = {
+      val pos = p.permuted(ord)
+      SearchOrder(p, ord, pos, symmetryConds(pos))
+    }
+    if (p.isClique) return withConds((0 until p.n).toVector)
+    // Prefer a hub root if one exists (enables local-graph search, §5.4).
+    val all = connectedOrders(p).toVector
+    val hubs = p.hubVertices.toSet
+    val pool = if (hubs.nonEmpty) {
+      val hubFirst = all.filter(o => hubs.contains(o.head))
+      if (hubFirst.nonEmpty) hubFirst else all
+    } else all
+    pool.map(withConds).minBy(so => (cost(so.posPattern, so.conds, induced), so.order.mkString(",")))
   }
 }

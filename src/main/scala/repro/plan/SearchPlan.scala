@@ -28,6 +28,12 @@ final case class LevelSpec(
   * @param bufferReuse for level i, `Some(j)` if W_i is identical to W_j
   *                    (j < i) and can be reused without recomputation —
   *                    the paper's buffering optimization (K).
+  * @param extendsParent for level i, true if W_i is computed incrementally
+  *                    from level i−1's candidate set (i−1 ≥ 2): W_{i−1}'s
+  *                    expression is part of W_i's and W_i's candidates lie
+  *                    inside W_{i−1}'s bounds, so only the extra lists are
+  *                    merged (AutoMine/GraphZero cross-level reuse). Never
+  *                    set on a level that reuses a set or lends its own.
   * @param fusedCount  true when the last two levels draw from the same
   *                    buffer with a single `v_last < v_prev` bond and no
   *                    other constraints on the last level: counting can
@@ -39,6 +45,7 @@ final case class SearchPlan(
     induced: Boolean,
     levels: Vector[LevelSpec], // levels(i) constrains position i, i >= 1
     bufferReuse: Vector[Option[Int]],
+    extendsParent: Vector[Boolean],
     fusedCount: Boolean,
 ) {
   def k: Int = searchOrder.pattern.n
@@ -98,6 +105,22 @@ object Planner {
       }
     }
 
+    // Incremental sets: level i starts from level i−1's candidates when
+    // W_{i−1}'s lists are among W_i's and each of level i−1's bound lists
+    // binds level i too — it is empty, among level i's own, or implied by
+    // level i's bound on v_{i−1} (which lies inside level i−1's bounds).
+    // Level i must neither reuse a set nor lend its own: a borrower cuts
+    // the whole W_i to its own bounds, which need not imply level i−1's.
+    val extend = Vector.tabulate(levels.length) { li =>
+      val i = li + 1
+      i >= 3 && reuse(li).isEmpty && !reuse.contains(Some(i)) && {
+        val own = levels(li); val par = levels(li - 1)
+        def binds(pb: Vector[Int], ob: Vector[Int]) = pb.forall(ob.contains) || ob.contains(i - 1)
+        par.conn.forall(own.conn.contains) && par.anti.forall(own.anti.contains) &&
+          binds(par.uppers, own.uppers) && binds(par.lowers, own.lowers)
+      }
+    }
+
     // Counting-only fusion (diamond-style, Algorithm 3): last level reuses
     // the previous level's buffer, carries exactly the single bond
     // v_{k-1} < v_{k-2}, and the previous level has no bounds of its own.
@@ -109,7 +132,7 @@ object Planner {
         prev.uppers.isEmpty && prev.lowers.isEmpty
     }
 
-    SearchPlan(so, induced, levels, reuse, fused)
+    SearchPlan(so, induced, levels, reuse, extend, fused)
   }
 
   /** Plan for a k-clique on an *oriented* (DAG) graph: orientation subsumes

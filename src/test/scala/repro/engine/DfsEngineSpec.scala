@@ -3,7 +3,7 @@ package repro.engine
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.graph.CSRGraph
-import repro.pattern.{Pattern, PatternNames, Patterns}
+import repro.pattern.{Analyzer, Pattern, PatternNames, Patterns, SearchOrder}
 import repro.plan.{LevelSpec, Planner, SearchPlan}
 import repro.setops.{SetOps, WorkCounter}
 
@@ -181,6 +181,37 @@ class DfsEngineSpec extends AnyFunSuite {
       val m = DfsEngine.runLocal(g, plan, DfsConfig(orientation = false))
       assert(m.tasks == g.numEdges)
       assert(m.setOpWork == wc.ops)
+    }
+
+  // ---- incremental candidate sets ----------------------------------------
+  for {
+    (pName, p, induced, cfg) <- Seq(("unoriented 4-clique", Patterns.clique(4), false, DfsConfig(orientation = false)),
+      ("induced 3-star", Patterns.star(4), true, DfsConfig()))
+    (gName, g) <- Seq("pl-mild" -> TestGraphs.plMild, "pl-dense" -> TestGraphs.plDense)
+  } test(s"incremental levels count the same with less work: $pName on $gName") {
+    val plan = Planner.plan(p, induced)
+    assert(plan.extendsParent.contains(true))
+    val incremental = DfsEngine.runLocal(g, plan, cfg)
+    val whole = DfsEngine.runLocal(g, plan.copy(extendsParent = plan.extendsParent.map(_ => false)), cfg)
+    assert(incremental.count == whole.count)
+    assert(incremental.count == NaiveMatcher.countUnique(g, p, induced))
+    assert(incremental.setOpWork < whole.setOpWork)
+    assert(incremental.bufferSavedWork == whole.bufferSavedWork) // opt K's reuse only
+  }
+
+  // The ranking check: the symmetry-aware cost picks a 4-cycle order that
+  // does no more work than the identity order it used to tie with.
+  for ((gName, g) <- Seq("pl-mild" -> TestGraphs.plMild, "pl-dense" -> TestGraphs.plDense))
+    test(s"the chosen 4-cycle order does at most the work of 0123 on $gName") {
+      val c4 = Patterns.cycle4; val id = Vector(0, 1, 2, 3)
+      val chosen = Planner.plan(c4, induced = false)
+      val identity = Planner.fromOrder(SearchOrder(c4, id, c4, Analyzer.symmetryConds(c4)),
+        induced = false, countingOnly = false)
+      assert(chosen.searchOrder.order != id)
+      val a = DfsEngine.runLocal(g, chosen, DfsConfig())
+      val b = DfsEngine.runLocal(g, identity, DfsConfig())
+      assert(a.count == b.count)
+      assert(a.setOpWork <= b.setOpWork)
     }
 
   test("edgelist reduction halves tasks when a root condition exists") {

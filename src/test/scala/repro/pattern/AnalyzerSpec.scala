@@ -73,6 +73,44 @@ class AnalyzerSpec extends AnyFunSuite {
     assert(!Analyzer.condsValid(tri, Vector((0, 1), (1, 2), (2, 0)))) // contradiction kills orbits
   }
 
+  test("4-cycle order is star-first in both modes: position 2 is adjacent to position 0") {
+    for (induced <- Seq(false, true)) {
+      val so = Analyzer.analyze(Patterns.cycle4, induced)
+      assert(so.order == Vector(0, 1, 3, 2), s"induced=$induced")
+      assert(so.posPattern.isEdge(2, 0), s"induced=$induced")
+      assert(Analyzer.chooseOrder(Patterns.cycle4, induced) == so.order)
+    }
+  }
+
+  test("induced 4-path order carries the root condition (0,1)") {
+    val so = Analyzer.analyze(Patterns.path(4), induced = true)
+    assert(so.conds.contains((0, 1)), s"order=${so.order} conds=${so.conds}")
+  }
+
+  test("the symmetry-aware cost keeps the orders of stars, diamond, tailed triangle, cliques, wedge and triangle") {
+    val expected = Seq(Patterns.star(4) -> "0123", Patterns.diamond -> "0123", Patterns.tailedTriangle -> "0123",
+      Patterns.clique(4) -> "0123", Patterns.clique(5) -> "01234", Patterns.wedge -> "012",
+      Patterns.triangle -> "012")
+    for ((p, ord) <- expected; induced <- Seq(false, true))
+      assert(Analyzer.chooseOrder(p, induced).mkString == ord, s"${PatternNames.nameOf(p)} induced=$induced")
+  }
+
+  test("analyze keeps the conditions of the order it chose") {
+    for (k <- Seq(3, 4); p <- Patterns.motifs(k); induced <- Seq(true, false)) {
+      val so = Analyzer.analyze(p, induced)
+      assert(so.posPattern == p.permuted(so.order))
+      assert(so.conds == Analyzer.symmetryConds(so.posPattern))
+    }
+  }
+
+  test("order cost sees the symmetry order: a root condition makes the 4-path cheaper") {
+    // Both orders extend one neighbour at a time; only 1203 gets (0,1),
+    // which halves the frontier from level 1 on.
+    val path = Patterns.path(4)
+    assert(Analyzer.orderCost(path, Vector(1, 2, 0, 3), induced = true) <
+      Analyzer.orderCost(path, Vector(0, 1, 2, 3), induced = true))
+  }
+
   test("order cost prefers constrained extensions early") {
     val d = Patterns.diamond
     // an order matching tips before both hubs is costlier than triangle-first

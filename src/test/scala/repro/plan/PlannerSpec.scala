@@ -75,6 +75,33 @@ class PlannerSpec extends AnyFunSuite {
     }
   }
 
+  test("incremental levels: levels >= 3 of unoriented cliques and level 3 of the induced 3-star") {
+    for (k <- Seq(4, 5)) {
+      val plan = Planner.plan(Patterns.clique(k), induced = false)
+      assert(plan.extendsParent == Vector.tabulate(k - 1)(li => li + 1 >= 3), s"k=$k")
+    }
+    assert(Planner.plan(Patterns.star(4), induced = true).extendsParent == Vector(false, false, true))
+    for (induced <- Seq(false, true))
+      assert(Planner.plan(Patterns.cycle4, induced).extendsParent.forall(!_), s"induced=$induced")
+  }
+
+  test("an incremental level extends a set its own expression and bounds contain") {
+    for (p <- Patterns.motifs(4) ++ Patterns.motifs(5) :+ Patterns.clique(6); induced <- Seq(true, false)) {
+      val plan = Planner.plan(p, induced)
+      assert(plan.extendsParent.length == plan.levels.length)
+      plan.extendsParent.zipWithIndex.foreach {
+        case (true, li) =>
+          val i = li + 1; val own = plan.levels(li); val par = plan.levels(li - 1)
+          assert(i >= 3)
+          assert(plan.bufferReuse(li).isEmpty && !plan.bufferReuse.contains(Some(i)))
+          assert(par.conn.toSet.subsetOf(own.conn.toSet) && par.anti.toSet.subsetOf(own.anti.toSet))
+          assert(par.uppers.toSet.subsetOf(own.uppers.toSet) || own.uppers.contains(i - 1))
+          assert(par.lowers.toSet.subsetOf(own.lowers.toSet) || own.lowers.contains(i - 1))
+        case _ => ()
+      }
+    }
+  }
+
   test("buffer reuse never references a level whose inputs changed") {
     for (p <- Patterns.motifs(4) ++ Patterns.motifs(5); induced <- Seq(true, false)) {
       val plan = Planner.plan(p, induced)
