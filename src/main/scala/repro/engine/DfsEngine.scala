@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.graph.CSRGraph
 import repro.plan.{Planner, SearchPlan}
 import repro.sched.Scheduler
-import repro.setops.{SetOps, WorkCounter}
+import repro.setops.{ListBitmap, SetOps, WorkCounter}
 
 /** Configuration knobs mirroring the paper's optimization letters (Table 2).
   * Tasks are always edge-parallel (§5.1 (2)) with edgelist reduction
@@ -40,7 +40,10 @@ final case class DfsConfig(
 /** Aggregated run metrics. `levelNodes(i)` is the number of valid partial
   * embeddings of search positions 0..i — exactly the subgraph-list sizes a
   * BFS engine would materialize level by level, which the cost model uses
-  * to derive Pangolin/PBE memory footprints. `bufferSavedWork` is the
+  * to derive Pangolin/PBE memory footprints. `setOpWork` is the step count
+  * of the plan's bounded linear merges (the modeled §6 kernel), whatever
+  * kernel built the set: a merge that probes a bitmap counts the steps the
+  * merge would take. `bufferSavedWork` is the
   * merge work that opt K's exact-set reuse skipped; the work an
   * incremental level saves by starting from its parent's set is not in it
   * (it shows only as a smaller `setOpWork`).
@@ -71,11 +74,15 @@ final case class Metrics(
   * level's symmetry bounds (§6.1), so the set they return is exactly its
   * candidates. It holds when the level computes its own set, lends it to
   * no later level (which may need more) and merges at least once; every
-  * other level is cut to its bounds after the set is built.
+  * other level is cut to its bounds after the set is built. `probe` is the
+  * position whose list the first intersection, N(conn(0)) ∩ N(conn(1)),
+  * probes as a bitmap (−1: it merges), and `antiProbe(x)` says whether
+  * the difference with N(anti(x)) probes one.
   */
 private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers: Array[Int],
                           val lowers: Array[Int], val unmatched: Array[Int], val reuse: Int,
-                          val extend: Boolean, val bounded: Boolean)
+                          val extend: Boolean, val bounded: Boolean,
+                          val probe: Int, val antiProbe: Array[Boolean])
 
 /** Single-threaded plan interpreter, one instance per Spark partition (or
   * `perTaskWork` thread), which runs its stripe of the canonical task
@@ -84,10 +91,23 @@ private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers
   * primitives, symmetry bounds and buffer reuse of §5/§6, which the
   * constructor fixes once per level as the code generator does per kernel.
   *
+  * A list that stays fixed across a level's parent loop is probed as a
+  * bitmap instead of merged (§6 buffers what an inner loop does not
+  * change): at level i ≥ 3 the list of every position p ≤ i − 2, and for
+  * edge tasks the list of the arc's owner, whose arcs [[runSlot]] runs
+  * back to back. Under LGS the same rule holds over local ids. A level's
+  * first intersection probes when one of its two lists is stable, and a
+  * difference probes when the list it subtracts is; extending levels,
+  * levels that reuse a set and merges with no stable list merge. Either
+  * way the counted work is the bounded linear merge's step count.
+  *
   * Memory per instance, beyond the shared graph, is `(k + 1) × max(1,
   * maxDegree)` ints: one candidate buffer per pattern position plus the
-  * identity view LGS tasks scan. An LGS task also holds its root's local
-  * graph until the next task starts; nothing grows with the task count.
+  * identity view LGS tasks scan, and up to k bitmaps of `max(n,
+  * maxDegree)` bits, one per position whose list some level probes. An LGS
+  * task also holds its root's local graph until the next task starts (a
+  * bitmap keeps the last list it marked); nothing grows with the task
+  * count.
   *
   * @param lgsMode every task is a local graph search (opt E): a vertex task
   *                that searches the root's induced neighborhood. Otherwise
@@ -114,6 +134,9 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       case Some(j) if !cfg.wholeListScans && (lgsMode || j >= 2) => j
       case _ => -1
     }
+    // The position of an edge task's owner: v0, unless the root condition
+    // puts the owner, the arc's lower end, at v1.
+    val owner = if (lgsMode) -1 else if (plan.rootEdgeCond.contains(false)) 1 else 0
     null +: Array.tabulate(k - 1) { li =>
       val i = li + 1; val spec = plan.levels(li)
       val extend = !cfg.wholeListScans && plan.extendsParent(li)
@@ -124,10 +147,15 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       // every input after the first (the LGS identity view when conn is
       // empty) is one merge; an extended set's first input is its parent's
       val merges = (if (extend) conn.length else math.max(conn.length, 1) - 1) + anti.length
+      // lists fixed across the parent loop; the lower of two stable
+      // positions is re-marked less often
+      def stable(p: Int) = !extend && ((i >= 3 && p <= i - 2) || p == owner)
       new Level(conn, anti, spec.uppers.toArray,
         spec.lowers.map(j => if (j == root) k else j).toArray,
         (0 until i).filter(j => j != root && !spec.conn.contains(j)).toArray,
-        reuse(i), extend, bounded = !cfg.wholeListScans && reuse(i) < 0 && !reuse.contains(i) && merges > 0)
+        reuse(i), extend, bounded = !cfg.wholeListScans && reuse(i) < 0 && !reuse.contains(i) && merges > 0,
+        probe = if (conn.length >= 2) conn.take(2).filter(stable).minOption.getOrElse(-1) else -1,
+        antiProbe = anti.map(stable))
     }
   }
   private val fuseAt = if (plan.fusedCount) k - 2 else -1
@@ -139,6 +167,12 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
   private val candOff = new Array[Int](k)
   private val candLen = new Array[Int](k)
   private val identity = Array.range(0, cap) // "all local vertices" view for LGS
+  // bitmap of position p's list, for the positions some level probes
+  private val bits: Array[ListBitmap] = Array.tabulate(k) { p =>
+    if (levels.exists(lv => lv != null && (lv.probe == p || lv.anti.zip(lv.antiProbe).contains((p, true)))))
+      new ListBitmap(math.max(g.n, cap))
+    else null
+  }
   private var lg: CSRGraph = g                // graph used for set ops (local in LGS)
 
   @inline private def nbrA: Array[Int] = lg.nbrs
@@ -155,6 +189,12 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     while (x < js.length) { m = math.max(m, matched(js(x))); x += 1 }
     m
   }
+  /** Position p's list, marked in its bitmap (free if already marked). */
+  @inline private def marked(p: Int): ListBitmap = {
+    val v = matched(p); val bm = bits(p)
+    bm.mark(nbrA, nOff(v), nLen(v))
+    bm
+  }
   @inline private def lenSum(js: Array[Int]): Long = {
     var s = 0L; var x = 0
     while (x < js.length) { s += nLen(matched(js(x))); x += 1 }
@@ -166,7 +206,8 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     * extra lists. The merges of a bounded level take its symmetry bounds
     * (§6.1): each skips its inputs' prefix up to the lower bound and exits
     * early at the upper one. An empty bound list gives a key that bounds
-    * nothing.
+    * nothing. A merge with a stable list (`probe`, `antiProbe`) probes
+    * that list's bitmap, marked on first use, and counts the same steps.
     */
   private def computeCands(i: Int): Unit = {
     val lv = levels(i)
@@ -189,14 +230,20 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     }
     while (ci < conn.length) {
       val c = matched(conn(ci))
-      len = SetOps.intersect(arr, off, len, nbrA, nOff(c), nLen(c), buf(i), wc, ub, lb)
+      len =
+        if (ci == 1 && lv.probe >= 0)
+          SetOps.intersectProbed(arr, off, len, nbrA, nOff(c), nLen(c), marked(lv.probe), buf(i), wc, ub, lb)
+        else SetOps.intersect(arr, off, len, nbrA, nOff(c), nLen(c), buf(i), wc, ub, lb)
       arr = buf(i); off = 0
       ci += 1
     }
     var ai = 0
     while (ai < lv.anti.length) {
       val a = matched(lv.anti(ai))
-      len = SetOps.difference(arr, off, len, nbrA, nOff(a), nLen(a), buf(i), wc, ub, lb)
+      len =
+        if (lv.antiProbe(ai))
+          SetOps.differenceProbed(arr, off, len, nbrA, nOff(a), nLen(a), marked(lv.anti(ai)), buf(i), wc, ub, lb)
+        else SetOps.difference(arr, off, len, nbrA, nOff(a), nLen(a), buf(i), wc, ub, lb)
       arr = buf(i); off = 0
       ai += 1
     }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.graph.CSRGraph
 import repro.pattern.{Pattern, Patterns}
 import repro.sched.Scheduler
-import repro.setops.{SetOps, WorkCounter}
+import repro.setops.{ListBitmap, SetOps, WorkCounter}
 
 /** Counting-only pruning via pattern decomposition (optimization D, §5.4):
   * instead of enumerating k-vertex subgraphs, count them from cheaper
@@ -71,8 +71,13 @@ object MotifFormulas {
       pathsPart: Long,            // Σ_e (d_u − 1)(d_v − 1)
   )
 
+  /** One pass over the edges u < v. N(u) stays fixed across u's arcs, so
+    * each t_e = |N(u) ∩ N(v)| probes one n-bit bitmap of N(u) held for the
+    * whole call; the work is still the linear merge's step count.
+    */
   private def edgePrimitives(g: CSRGraph, wc: WorkCounter): EdgePrimitives = {
     val common = new Array[Int](math.max(1, g.maxDegree)) // N(u) ∩ N(v); only its size is used
+    val nu = new ListBitmap(g.n) // N(u), fixed across u's arcs
     var t3 = 0L; var tailed2x = 0L; var dia = 0L; var paths = 0L
     var u = 0
     while (u < g.n) {
@@ -80,9 +85,10 @@ object MotifFormulas {
       while (i < g.nbrEnd(u)) {
         val v = g.nbrs(i)
         if (u < v) {
-          val te = SetOps.intersect(
+          nu.mark(g.nbrs, g.nbrStart(u), g.deg(u))
+          val te = SetOps.intersectProbed(
             g.nbrs, g.nbrStart(u), g.deg(u), g.nbrs, g.nbrStart(v), g.deg(v),
-            common, wc).toLong
+            nu, common, wc).toLong
           t3 += te
           tailed2x += te * (g.deg(u) + g.deg(v) - 4)
           dia += te * (te - 1) / 2

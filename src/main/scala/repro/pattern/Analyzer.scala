@@ -105,10 +105,11 @@ object Analyzer {
   /** Check the paper's uniqueness+completeness invariant: each orbit keeps
     * exactly one representative under `conds`.
     */
-  def condsValid(pos: Pattern, conds: Seq[(Int, Int)]): Boolean = {
-    val auts = pos.automorphisms
-    orbits(pos.n, auts).forall(_.count(satisfies(_, conds)) == 1)
-  }
+  def condsValid(pos: Pattern, conds: Seq[(Int, Int)]): Boolean =
+    onePerOrbit(orbits(pos.n, pos.automorphisms), conds)
+
+  private def onePerOrbit(orbs: Vector[Vector[Vector[Int]]], conds: Seq[(Int, Int)]): Boolean =
+    orbs.forall(_.count(satisfies(_, conds)) == 1)
 
   /** Generate symmetry conditions for the given order.
     *
@@ -120,27 +121,31 @@ object Analyzer {
     * automorphic images — i.e. iff it is the unique lex-min of its orbit,
     * which gives exactly the paper's completeness + uniqueness guarantee.
     * Redundant conditions are then dropped while validity (brute-force
-    * checked) is preserved.
+    * checked) is preserved. The automorphisms and their orbits are
+    * computed once per call; the initial set and every drop candidate are
+    * checked against them.
     */
   def symmetryConds(pos: Pattern): Vector[(Int, Int)] = {
     val k = pos.n
+    val all = pos.automorphisms
+    lazy val orbs = orbits(k, all) // not needed by an asymmetric pattern
     if (pos.isClique && pos.labels.isEmpty) {
       val chain = (1 until k).map(i => (i, i - 1)).toVector // v_i < v_{i-1}
-      require(condsValid(pos, chain), "clique chain conditions failed validation")
+      require(onePerOrbit(orbs, chain), "clique chain conditions failed validation")
       return chain
     }
     val id = (0 until k).toVector
-    val auts = pos.automorphisms.filterNot(_ == id)
+    val auts = all.filterNot(_ == id)
     if (auts.isEmpty) return Vector.empty
     var conds = auts.map { sigma =>
       val a = (0 until k).find(i => sigma(i) != i).get
       (a, sigma(a))
     }.distinct.sortBy { case (a, b) => (a, b) }
-    require(condsValid(pos, conds), s"lex-min conditions invalid for $pos: $conds")
+    require(onePerOrbit(orbs, conds), s"lex-min conditions invalid for $pos: $conds")
     // minimize: drop any condition implied by the rest
     for (c <- conds) {
       val without = conds.filterNot(_ == c)
-      if (condsValid(pos, without)) conds = without
+      if (onePerOrbit(orbs, without)) conds = without
     }
     conds
   }

@@ -1,5 +1,38 @@
 package repro.setops
 
+/** Element steps counted by the set primitives. */
+final class WorkCounter extends Serializable {
+  var ops: Long = 0L
+  @inline def add(n: Long): Unit = ops += n
+}
+
+/** A bitmap of one sorted list's elements, which must lie in
+  * [0, `capacity`). It remembers the view it holds: [[mark]] of that view
+  * again is free, and marking another view first clears the previous one's
+  * bits by walking its list, so a mark costs the two lists' lengths, never
+  * the capacity. The marked list must not change while it is held.
+  */
+final class ListBitmap(capacity: Int) {
+  private val words = new Array[Long](math.max(1, (capacity + 63) >>> 6))
+  private var arr: Array[Int] = null
+  private var off = 0
+  private var len = 0
+
+  @inline def holds(a: Array[Int], aOff: Int, aLen: Int): Boolean = (a eq arr) && aOff == off && aLen == len
+
+  def mark(a: Array[Int], aOff: Int, aLen: Int): Unit =
+    if (!holds(a, aOff, aLen)) {
+      var x = off
+      while (x < off + len) { words(arr(x) >>> 6) = 0L; x += 1 }
+      arr = a; off = aOff; len = aLen
+      x = off
+      while (x < off + len) { val v = a(x); words(v >>> 6) |= 1L << v; x += 1 }
+    }
+
+  /** Whether `v` is an element of the held list. */
+  @inline def has(v: Int): Boolean = ((words(v >>> 6) >>> v) & 1L) != 0
+}
+
 /** Set primitives over sorted Int array *views* — the analog of the paper's
   * GPU device-function library (§6). A view is (array, offset, length), so
   * neighbor lists can be used in place inside the CSR arrays. Every
@@ -12,16 +45,18 @@ package repro.setops
   * A set built without bounds is cut by [[countAtMost]] and [[countBelow]],
   * which share one binary search.
   *
+  * Where one input stays fixed across an inner loop (§6's buffered `W`),
+  * [[intersectProbed]] and [[differenceProbed]] build the same set by
+  * scanning the other input and probing a [[ListBitmap]] of the fixed one.
+  * They count the steps the bounded linear merge would take, computed in
+  * closed form from the list positions, so the work a set reports does
+  * not depend on the kernel that built it.
+  *
   * Outputs are always written from index 0 of `out`. In-place chaining
-  * (`out eq a` with offset 0) is safe for intersect/difference because the
-  * write cursor never passes the read cursor, which starts at or after
-  * the trimmed prefix.
+  * (`out eq a` with offset 0) is safe for every merge because the write
+  * cursor never passes the read cursor, which starts at or after the
+  * trimmed prefix.
   */
-final class WorkCounter extends Serializable {
-  var ops: Long = 0L
-  @inline def add(n: Long): Unit = ops += n
-}
-
 object SetOps {
 
   /** out = A ∩ B by linear merge, keeping only elements in (`lb`, `ub`):
@@ -70,6 +105,87 @@ object SetOps {
     }
     wc.add((i - i0).toLong + (j - j0))
     o
+  }
+
+  /** out = A ∩ B, the set and the counted work of [[intersect]], where
+    * `bits` holds A or B: the other input is scanned from its `lb` trim to
+    * the last element the two lists can share below `ub`, keeping the
+    * elements whose bit is set, so the scan never passes more elements
+    * than the merge would. With A* = A′ (A after its trim) below `ub`,
+    * aL = last of A* and bL = last of B′, the merge steps are
+    * |A*| + #{B′ ≤ aL} if aL ≤ bL, else |B′| + #{A* ≤ bL}, and 0 if A* or
+    * B′ is empty. The scan finds one of the two terms; a search finds the
+    * other (if any), uncounted, as the merge makes no search. Returns |out|.
+    */
+  def intersectProbed(a: Array[Int], aOff: Int, aLen: Int,
+                      b: Array[Int], bOff: Int, bLen: Int, bits: ListBitmap,
+                      out: Array[Int], wc: WorkCounter, ub: Int = Int.MaxValue,
+                      lb: Int = Int.MinValue): Int = {
+    val aS = aOff + countAtMost(a, aOff, aLen, lb, wc); val aE = aOff + aLen
+    val bS = bOff + countAtMost(b, bOff, bLen, lb, wc); val bE = bOff + bLen
+    if (aS == aE || bS == bE || a(aS) >= ub) return 0
+    val bL = b(bE - 1)
+    var o = 0
+    if (bits.holds(a, aOff, aLen)) { // scan B′ up to aL
+      val aN = if (a(aE - 1) < ub) aE - aS else countLess(a, aS, aE, ub)
+      val aL = a(aS + aN - 1)
+      var y = bS
+      while (y < bE && b(y) <= aL) {
+        val v = b(y)
+        if (bits.has(v)) { out(o) = v; o += 1 }
+        y += 1
+      }
+      wc.add(if (aL <= bL) aN.toLong + (y - bS) else (bE - bS).toLong + countLess(a, aS, aS + aN, bL + 1))
+    } else { // scan A* up to bL
+      val last = math.min(ub - 1, bL)
+      var x = aS
+      while (x < aE && a(x) <= last) {
+        val v = a(x)
+        if (bits.has(v)) { out(o) = v; o += 1 }
+        x += 1
+      }
+      wc.add(
+        if (x < aE && a(x) < ub) (bE - bS).toLong + (x - aS) // a(x) > bL: aL > bL
+        else (x - aS).toLong + countLess(b, bS, bE, a(x - 1) + 1))
+    }
+    o
+  }
+
+  /** out = A − B, the set and the counted work of [[difference]], where
+    * `bits` holds B: A is scanned from its `lb` trim up to `ub`, keeping
+    * the elements whose bit is clear. With A* and aL as in
+    * [[intersectProbed]], the merge steps are |A*| + #{B′ < aL}; the scan
+    * finds the first term and an uncounted search the second.
+    */
+  def differenceProbed(a: Array[Int], aOff: Int, aLen: Int,
+                       b: Array[Int], bOff: Int, bLen: Int, bits: ListBitmap,
+                       out: Array[Int], wc: WorkCounter, ub: Int = Int.MaxValue,
+                       lb: Int = Int.MinValue): Int = {
+    val aS = aOff + countAtMost(a, aOff, aLen, lb, wc); val aE = aOff + aLen
+    val bS = bOff + countAtMost(b, bOff, bLen, lb, wc)
+    var x = aS; var o = 0
+    while (x < aE && a(x) < ub) {
+      val v = a(x)
+      if (!bits.has(v)) { out(o) = v; o += 1 }
+      x += 1
+    }
+    if (x > aS) wc.add((x - aS).toLong + countLess(b, bS, bOff + bLen, a(x - 1)))
+    o
+  }
+
+  /** Number of elements in a(from until to) below `x`, found by an
+    * uncounted galloping search from `from`, so a short prefix costs a few
+    * probes. The probed merges use it to reach the step count a merge
+    * would, not to find anything.
+    */
+  private def countLess(a: Array[Int], from: Int, to: Int, x: Int): Int = {
+    var lo = from; var hi = from; var step = 1
+    while (hi < to && a(hi) < x) { lo = hi + 1; hi = if (to - hi > step) hi + step else to; step <<= 1 }
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (a(mid) < x) lo = mid + 1 else hi = mid
+    }
+    lo - from
   }
 
   /** Number of leading elements of the view at or below `lb`: the prefix

@@ -214,6 +214,56 @@ class DfsEngineSpec extends AnyFunSuite {
       assert(a.setOpWork <= b.setOpWork)
     }
 
+  // ---- bitmap-probed merges ---------------------------------------------
+  /** Metrics of the plans whose merges now probe a bitmap of a list that
+    * stays fixed across the parent loop, recorded at commit dcf2add, where
+    * every level still merged: the probed merges count the steps of the
+    * merges they replace, so nothing may move.
+    */
+  private final case class Recorded(count: Long, setOpWork: Long, levelNodes: Seq[Long],
+                                    bufferSavedWork: Long, perTaskWorkSum: Long)
+  private val recordedAtDcf2add: Map[(String, String), Recorded] = Map(
+    ("g2miner-4-cycle", "pl-mild") -> Recorded(635L, 15110L, Seq(100L, 300L, 814L, 635L), 0L, 15410L),
+    ("g2miner-4-cycle", "pl-skew") -> Recorded(538L, 7182L, Seq(60L, 150L, 374L, 538L), 0L, 7332L),
+    ("baseline-diamond", "pl-mild") -> Recorded(255L, 5980L, Seq(100L, 300L, 333L, 255L), 8742L, 6280L),
+    ("baseline-diamond", "pl-skew") -> Recorded(533L, 3618L, Seq(60L, 150L, 297L, 533L), 8696L, 3768L),
+    ("baseline-triangle", "pl-mild") -> Recorded(111L, 1588L, Seq(100L, 300L, 111L), 0L, 1888L),
+    ("baseline-triangle", "pl-skew") -> Recorded(99L, 852L, Seq(60L, 150L, 99L), 0L, 1002L),
+    ("counting-diamond", "pl-mild") -> Recorded(255L, 5275L, Seq(100L, 300L, 333L, 255L), 0L, 5575L),
+    ("counting-diamond", "pl-skew") -> Recorded(533L, 2753L, Seq(60L, 150L, 297L, 533L), 0L, 2903L),
+    ("induced-4-cycle", "pl-mild") -> Recorded(404L, 18803L, Seq(100L, 300L, 703L, 404L), 0L, 19103L),
+    ("induced-4-cycle", "pl-skew") -> Recorded(110L, 7478L, Seq(60L, 150L, 275L, 110L), 0L, 7628L),
+    ("induced-4-path", "pl-mild") -> Recorded(13138L, 92555L, Seq(100L, 300L, 2166L, 13138L), 0L, 92855L),
+    ("induced-4-path", "pl-skew") -> Recorded(3226L, 32512L, Seq(60L, 150L, 899L, 3226L), 0L, 32662L),
+    ("induced-3-star-lgs", "pl-mild") -> Recorded(8550L, 35960L, Seq(100L, 566L, 2330L, 8550L), 0L, 36060L),
+    ("induced-3-star-lgs", "pl-skew") -> Recorded(4274L, 18670L, Seq(60L, 276L, 1072L, 4274L), 0L, 18730L),
+  )
+
+  for {
+    (name, p, induced, countingOnly, cfg) <- Seq(
+      ("g2miner-4-cycle", Patterns.cycle4, false, false, DfsConfig(lgs = true)),
+      ("baseline-diamond", Patterns.diamond, false, false, DfsConfig(orientation = false)),
+      ("baseline-triangle", Patterns.triangle, false, false, DfsConfig(orientation = false)),
+      ("counting-diamond", Patterns.diamond, false, true, DfsConfig(countingOnly = true)),
+      ("induced-4-cycle", Patterns.cycle4, true, false, DfsConfig(lgs = true)),
+      ("induced-4-path", Patterns.path(4), true, false, DfsConfig(lgs = true)),
+      ("induced-3-star-lgs", Patterns.star(4), true, false, DfsConfig(lgs = true)))
+    (gName, g) <- Seq("pl-mild" -> TestGraphs.plMild, "pl-skew" -> TestGraphs.plSkew)
+  } test(s"probed merges keep the merged work recorded at dcf2add: $name on $gName") {
+    val plan = Planner.plan(p, induced, countingOnly)
+    val local = DfsEngine.runLocal(g, plan, cfg)
+    val dist = DfsEngine.run(repro.SparkSpec.shared, g, plan, cfg)
+    val r = recordedAtDcf2add((name, gName))
+    assert(local.count == NaiveMatcher.countUnique(g, p, induced))
+    assert(local.count == r.count)
+    assert(local.setOpWork == r.setOpWork)
+    assert(local.levelNodes.toSeq == r.levelNodes)
+    assert(local.bufferSavedWork == r.bufferSavedWork)
+    assert(DfsEngine.perTaskWork(g, plan, cfg).sum == r.perTaskWorkSum)
+    assert(dist.count == local.count && dist.setOpWork == local.setOpWork && dist.tasks == local.tasks)
+    assert(dist.levelNodes.toSeq == local.levelNodes.toSeq && dist.bufferSavedWork == local.bufferSavedWork)
+  }
+
   test("edgelist reduction halves tasks when a root condition exists") {
     val g = TestGraphs.plMild
     val plan = Planner.plan(Patterns.cycle4, induced = false)

@@ -194,6 +194,90 @@ class SetOpsSpec extends AnyFunSuite {
     assert(work(Array(1, 3, 5, 7), Array(2, 3), lb = 3) == 5)
   }
 
+  // ---- bitmap-probed merges ---------------------------------------------
+  private def randomBound(): Int = rnd.nextInt(8) match {
+    case 0 => Int.MinValue
+    case 1 => Int.MaxValue
+    case _ => rnd.nextInt(320) - 10
+  }
+
+  /** A random sorted set at a random offset inside a padded array. */
+  private def randomView(): (Array[Int], Int, Int) = {
+    val set = randomSortedSet(); val pre = rnd.nextInt(4)
+    (Array.fill(pre)(rnd.nextInt(300)) ++ set ++ Array.fill(rnd.nextInt(4))(rnd.nextInt(300)), pre, set.length)
+  }
+
+  /** The probed merge returns the merge's set and adds exactly the merge's
+    * work, on a fresh buffer and in place (`out eq a` at offset 0); the
+    * bitmap holds A when `aStable`, else B.
+    */
+  private def assertProbedAgrees(difference: Boolean, a: Array[Int], aOff: Int, aLen: Int,
+                                 b: Array[Int], bOff: Int, bLen: Int, ub: Int, lb: Int, aStable: Boolean): Unit = {
+    def run(a: Array[Int], aOff: Int, out: Array[Int], probed: Boolean): (Seq[Int], Long) = {
+      val wc = new WorkCounter
+      val len =
+        if (!probed) {
+          if (difference) SetOps.difference(a, aOff, aLen, b, bOff, bLen, out, wc, ub, lb)
+          else SetOps.intersect(a, aOff, aLen, b, bOff, bLen, out, wc, ub, lb)
+        } else {
+          val bits = new ListBitmap(300)
+          if (aStable) bits.mark(a, aOff, aLen) else bits.mark(b, bOff, bLen)
+          if (difference) SetOps.differenceProbed(a, aOff, aLen, b, bOff, bLen, bits, out, wc, ub, lb)
+          else SetOps.intersectProbed(a, aOff, aLen, b, bOff, bLen, bits, out, wc, ub, lb)
+        }
+      (out.take(len).toSeq, wc.ops)
+    }
+    def fresh(probed: Boolean) = run(a, aOff, new Array[Int](math.max(aLen, bLen) + 1), probed)
+    def inPlace(probed: Boolean) = {
+      val buf = java.util.Arrays.copyOfRange(a, aOff, aOff + math.max(1, aLen))
+      run(buf, 0, buf, probed)
+    }
+    val clue = s"difference=$difference a=${a.slice(aOff, aOff + aLen).toSeq} b=${b.slice(bOff, bOff + bLen).toSeq} " +
+      s"lb=$lb ub=$ub aStable=$aStable"
+    assert(fresh(probed = true) == fresh(probed = false), clue)
+    assert(inPlace(probed = true) == inPlace(probed = false), s"in place $clue")
+  }
+
+  test("probed intersect and difference return the merge's set and work (200 random cases each)") {
+    for (difference <- Seq(false, true); _ <- 1 to 200) {
+      val (a, aOff, aLen) = randomView(); val (b, bOff, bLen) = randomView()
+      // a difference can only probe the list it subtracts
+      assertProbedAgrees(difference, a, aOff, aLen, b, bOff, bLen, randomBound(), randomBound(),
+        aStable = !difference && rnd.nextBoolean())
+    }
+  }
+
+  test("probed merges agree on empty inputs, ub below every element and B exhausted before A") {
+    val e = Array.empty[Int]; val a = Array(3, 5, 8, 13, 21, 34); val b = Array(1, 5, 13, 20)
+    for (difference <- Seq(false, true); aStable <- Seq(false, !difference).distinct) {
+      def agree(x: Array[Int], y: Array[Int], ub: Int = Int.MaxValue, lb: Int = Int.MinValue): Unit =
+        assertProbedAgrees(difference, x, 0, x.length, y, 0, y.length, ub, lb, aStable)
+      agree(e, b); agree(a, e); agree(e, e)
+      agree(a, b, ub = 2); agree(a, b, ub = Int.MinValue) // ub below every element
+      agree(a, b); agree(a, b, ub = 30, lb = 4)           // B (last 20) runs out before A
+      agree(b, a); agree(a, a, lb = 13)
+    }
+    // the steps are the merge's: 21 ends B's passage, then A is spent
+    val wc = new WorkCounter; val bits = new ListBitmap(64); bits.mark(b, 0, b.length)
+    val out = new Array[Int](6)
+    assert(SetOps.intersectProbed(a, 0, a.length, b, 0, b.length, bits, out, wc) == 2)
+    assert(out.take(2).toSeq == Seq(5, 13) && wc.ops == 4 + 4) // A ≤ 20: 3 5 8 13; all of B
+    val wcD = new WorkCounter
+    assert(SetOps.differenceProbed(a, 0, a.length, b, 0, b.length, bits, out, wcD) == 4)
+    assert(out.take(4).toSeq == Seq(3, 8, 21, 34) && wcD.ops == 6 + 4) // all of A; B below 34
+  }
+
+  test("after re-marking, the bitmap holds exactly the new list") {
+    val bits = new ListBitmap(300)
+    for (_ <- 1 to 100) {
+      val (a, off, len) = randomView()
+      bits.mark(a, off, len)
+      val set = a.slice(off, off + len).toSet
+      assert(bits.holds(a, off, len))
+      assert((0 until 300).forall(v => bits.has(v) == set.contains(v)), s"list ${a.slice(off, off + len).toSeq}")
+    }
+  }
+
   test("work counters are populated") {
     val wc = new WorkCounter
     val out = new Array[Int](4)
