@@ -42,8 +42,9 @@ final case class DfsConfig(
   * BFS engine would materialize level by level, which the cost model uses
   * to derive Pangolin/PBE memory footprints. `setOpWork` is the step count
   * of the plan's bounded linear merges (the modeled §6 kernel), whatever
-  * kernel built the set: a merge that probes a bitmap counts the steps the
-  * merge would take. `bufferSavedWork` is the
+  * kernel built or counted the set: a merge that probes a bitmap, or that
+  * only counts its result, counts the steps the merge would take.
+  * `bufferSavedWork` is the
   * merge work that opt K's exact-set reuse skipped; the work an
   * incremental level saves by starting from its parent's set is not in it
   * (it shows only as a smaller `setOpWork`).
@@ -77,12 +78,14 @@ final case class Metrics(
   * other level is cut to its bounds after the set is built. `probe` is the
   * position whose list the first intersection, N(conn(0)) ∩ N(conn(1)),
   * probes as a bitmap (−1: it merges), and `antiProbe(x)` says whether
-  * the difference with N(anti(x)) probes one.
+  * the difference with N(anti(x)) probes one. `stableBase` marks a last
+  * level whose one merge is N(conn(0)) − N(anti(0)) with only the first
+  * list stable: when it counts, it probes that list's bitmap.
   */
 private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers: Array[Int],
                           val lowers: Array[Int], val unmatched: Array[Int], val reuse: Int,
                           val extend: Boolean, val bounded: Boolean,
-                          val probe: Int, val antiProbe: Array[Boolean])
+                          val probe: Int, val antiProbe: Array[Boolean], val stableBase: Boolean)
 
 /** Single-threaded plan interpreter, one instance per Spark partition (or
   * `perTaskWork` thread), which runs its stripe of the canonical task
@@ -101,13 +104,23 @@ private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers
   * levels that reuse a set and merges with no stable list merge. Either
   * way the counted work is the bounded linear merge's step count.
   *
+  * The last level only adds |W|, so a bounded last level runs every merge
+  * but its last as above and only counts the last one, building no set,
+  * unless a matched vertex that its injectivity check reads lies inside
+  * its bounds (the induced path and tailed triangle), which the set must
+  * then be searched for. When that level's one merge is N(conn(0)) −
+  * N(anti(0)) and only N(conn(0)) is stable (the induced wedge, whose
+  * conn(0) is the edge task's owner), the count scans N(anti(0)) and
+  * probes N(conn(0))'s bitmap.
+  *
   * Memory per instance, beyond the shared graph, is `(k + 1) × max(1,
   * maxDegree)` ints: one candidate buffer per pattern position plus the
   * identity view LGS tasks scan, and up to k bitmaps of `max(n,
-  * maxDegree)` bits, one per position whose list some level probes. An LGS
-  * task also holds its root's local graph until the next task starts (a
-  * bitmap keeps the last list it marked); nothing grows with the task
-  * count.
+  * maxDegree)` bits, one per position whose list some level probes, plus,
+  * under LGS, position 0's, which holds the root's list while its local
+  * graph is built. An LGS task also holds its root's local graph until the
+  * next task starts (a bitmap keeps the last list it marked); nothing grows
+  * with the task count.
   *
   * @param lgsMode every task is a local graph search (opt E): a vertex task
   *                that searches the root's induced neighborhood. Otherwise
@@ -150,12 +163,14 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       // lists fixed across the parent loop; the lower of two stable
       // positions is re-marked less often
       def stable(p: Int) = !extend && ((i >= 3 && p <= i - 2) || p == owner)
+      val antiProbe = anti.map(stable)
       new Level(conn, anti, spec.uppers.toArray,
         spec.lowers.map(j => if (j == root) k else j).toArray,
         (0 until i).filter(j => j != root && !spec.conn.contains(j)).toArray,
         reuse(i), extend, bounded = !cfg.wholeListScans && reuse(i) < 0 && !reuse.contains(i) && merges > 0,
         probe = if (conn.length >= 2) conn.take(2).filter(stable).minOption.getOrElse(-1) else -1,
-        antiProbe = anti.map(stable))
+        antiProbe,
+        stableBase = i == k - 1 && conn.length == 1 && anti.length == 1 && stable(conn(0)) && !antiProbe(0))
     }
   }
   private val fuseAt = if (plan.fusedCount) k - 2 else -1
@@ -167,9 +182,11 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
   private val candOff = new Array[Int](k)
   private val candLen = new Array[Int](k)
   private val identity = Array.range(0, cap) // "all local vertices" view for LGS
-  // bitmap of position p's list, for the positions some level probes
+  // bitmap of position p's list, for the positions some level probes; under
+  // LGS position 0's holds the root's global list, which its local graph probes
   private val bits: Array[ListBitmap] = Array.tabulate(k) { p =>
-    if (levels.exists(lv => lv != null && (lv.probe == p || lv.anti.zip(lv.antiProbe).contains((p, true)))))
+    if ((lgsMode && p == 0) || levels.exists(lv => lv != null && (lv.probe == p ||
+        lv.anti.zip(lv.antiProbe).contains((p, true)) || (lv.stableBase && lv.conn(0) == p))))
       new ListBitmap(math.max(g.n, cap))
     else null
   }
@@ -201,21 +218,23 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     s
   }
 
-  /** Compute (or reuse) the candidate set for position i. An extending
-    * level starts from position i − 1's candidates and merges only its
-    * extra lists. The merges of a bounded level take its symmetry bounds
-    * (§6.1): each skips its inputs' prefix up to the lower bound and exits
-    * early at the upper one. An empty bound list gives a key that bounds
-    * nothing. A merge with a stable list (`probe`, `antiProbe`) probes
-    * that list's bitmap, marked on first use, and counts the same steps.
+  /** Compute (or reuse) the candidate set for position i and return its
+    * size. An extending level starts from position i − 1's candidates and
+    * merges only its extra lists. The merges of a bounded level take its
+    * symmetry bounds (§6.1): each skips its inputs' prefix up to the lower
+    * bound and exits early at the upper one. An empty bound list gives a
+    * key that bounds nothing. A merge with a stable list (`probe`,
+    * `antiProbe`, `stableBase`) probes that list's bitmap, marked on first
+    * use, and counts the same steps. With `countLast` (a bounded level) the
+    * last merge only counts its set, which is then not built.
     */
-  private def computeCands(i: Int): Unit = {
+  private def computeCands(i: Int, countLast: Boolean): Int = {
     val lv = levels(i)
     if (lv.reuse >= 0) {
       val j = lv.reuse; candArr(i) = candArr(j); candOff(i) = candOff(j); candLen(i) = candLen(j)
       // work the recomputation would have cost: the merge over inputs
       savedWork += lenSum(lv.conn) + lenSum(lv.anti)
-      return
+      return candLen(i)
     }
     val ub = if (lv.bounded) minKey(lv.uppers) else Int.MaxValue
     val lb = if (lv.bounded) maxKey(lv.lowers) else Int.MinValue
@@ -228,26 +247,46 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       val c0 = matched(conn(0))
       arr = nbrA; off = nOff(c0); len = nLen(c0)
     }
+    val anti = lv.anti
     while (ci < conn.length) {
-      val c = matched(conn(ci))
+      val c = matched(conn(ci)); val probed = ci == 1 && lv.probe >= 0
+      if (countLast && ci == conn.length - 1 && anti.length == 0)
+        return if (probed) SetOps.intersectProbedCount(arr, off, len, nbrA, nOff(c), nLen(c), marked(lv.probe), wc, ub, lb)
+          else SetOps.intersectCount(arr, off, len, nbrA, nOff(c), nLen(c), wc, ub, lb)
       len =
-        if (ci == 1 && lv.probe >= 0)
-          SetOps.intersectProbed(arr, off, len, nbrA, nOff(c), nLen(c), marked(lv.probe), buf(i), wc, ub, lb)
+        if (probed) SetOps.intersectProbed(arr, off, len, nbrA, nOff(c), nLen(c), marked(lv.probe), buf(i), wc, ub, lb)
         else SetOps.intersect(arr, off, len, nbrA, nOff(c), nLen(c), buf(i), wc, ub, lb)
       arr = buf(i); off = 0
       ci += 1
     }
     var ai = 0
-    while (ai < lv.anti.length) {
-      val a = matched(lv.anti(ai))
+    while (ai < anti.length) {
+      val a = matched(anti(ai))
+      if (countLast && ai == anti.length - 1)
+        return if (lv.antiProbe(ai))
+            SetOps.differenceProbedCount(arr, off, len, nbrA, nOff(a), nLen(a), marked(anti(ai)), wc, ub, lb)
+          else if (lv.stableBase)
+            SetOps.differenceStableCount(arr, off, len, nbrA, nOff(a), nLen(a), marked(conn(0)), wc, ub, lb)
+          else SetOps.differenceCount(arr, off, len, nbrA, nOff(a), nLen(a), wc, ub, lb)
       len =
         if (lv.antiProbe(ai))
-          SetOps.differenceProbed(arr, off, len, nbrA, nOff(a), nLen(a), marked(lv.anti(ai)), buf(i), wc, ub, lb)
+          SetOps.differenceProbed(arr, off, len, nbrA, nOff(a), nLen(a), marked(anti(ai)), buf(i), wc, ub, lb)
         else SetOps.difference(arr, off, len, nbrA, nOff(a), nLen(a), buf(i), wc, ub, lb)
       arr = buf(i); off = 0
       ai += 1
     }
     candArr(i) = arr; candOff(i) = off; candLen(i) = len
+    len
+  }
+
+  /** Whether a matched vertex that level `lv`'s injectivity check reads
+    * lies inside the level's bounds, where its set may hold it.
+    */
+  private def matchedInBounds(lv: Level): Boolean = {
+    val ub = minKey(lv.uppers); val lb = maxKey(lv.lowers); val js = lv.unmatched
+    var x = 0
+    while (x < js.length && { val v = matched(js(x)); v <= lb || v >= ub }) x += 1
+    x < js.length
   }
 
   /** Count matched vertices that appear inside [lo, hi) of candArr(i) —
@@ -275,8 +314,17 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
 
   private def descend(i: Int): Unit = {
     if (i == fuseAt) { fusedLeaf(i); return }
-    computeCands(i)
-    val lv = levels(i); val arr = candArr(i)
+    val lv = levels(i)
+    // A bounded leaf that holds no matched vertex is only counted; one that
+    // may hold one is built, so that matchedInRange can search it.
+    if (i == k - 1 && lv.bounded && !matchedInBounds(lv)) {
+      val c = computeCands(i, countLast = true)
+      count += c
+      lvl(i) += c
+      return
+    }
+    computeCands(i, countLast = false)
+    val arr = candArr(i)
     var lo = candOff(i); var hi = lo + candLen(i)
     // The one cut of a set its merges did not bound: the lower bound, then
     // the upper bound above it. No lower bound is Int.MinValue: a free no-op.
@@ -308,7 +356,7 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     * the same buffer with a single mutual bond — count C(n, 2) pairs.
     */
   private def fusedLeaf(i: Int): Unit = {
-    computeCands(i)
+    computeCands(i, countLast = false)
     val n = (candLen(i) - matchedInRange(i, candOff(i), candOff(i) + candLen(i))).toLong
     count += n * (n - 1) / 2
     lvl(i) += n
@@ -351,7 +399,7 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
   private def runLgsTask(v0: Int): Unit = {
     tasksRun += 1
     if (g.deg(v0) < k - 1) return
-    val (local, verts) = g.localGraph(v0, wc)
+    val (local, verts) = g.localGraph(v0, wc, bits(0))
     lg = local
     // #local vertices with global id < v0 (order-preserving rename)
     var lo = 0; var hi = verts.length

@@ -1,5 +1,7 @@
 package repro.graph
 
+import repro.setops.{ListBitmap, SetOps, WorkCounter}
+
 /** Immutable CSR adjacency for an undirected simple graph (the paper's
   * in-memory format, §4.2). Neighbor lists are sorted ascending so sorted
   * set primitives and symmetry-break early exit apply. Broadcast to
@@ -101,18 +103,20 @@ final class CSRGraph(
   /** Local graph (optimization E, Fig. 7): the subgraph induced by N(root),
     * with vertices renamed 0..d-1 preserving id order (so symmetry bounds
     * survive renaming). Returns (localGraph, localId -> globalId) and adds
-    * the set-op work spent building it to `wc`.
+    * the set-op work spent building it to `wc`. N(root) is marked in
+    * `rootBits` (capacity at least n) and each neighbour's list probes it;
+    * the work is the linear merges' step count.
     */
-  def localGraph(root: Int, wc: repro.setops.WorkCounter): (CSRGraph, Array[Int]) = {
+  def localGraph(root: Int, wc: WorkCounter, rootBits: ListBitmap = new ListBitmap(n)): (CSRGraph, Array[Int]) = {
     val d = deg(root)
     val verts = java.util.Arrays.copyOfRange(nbrs, offsets(root), offsets(root + 1))
     val tmp = new Array[Int](d)
     val adjLists = new Array[Array[Int]](d)
+    rootBits.mark(nbrs, offsets(root), d)
     var li = 0
     while (li < d) {
       val g = verts(li)
-      val len = repro.setops.SetOps.intersect(
-        verts, 0, d, nbrs, offsets(g), deg(g), tmp, wc)
+      val len = SetOps.intersectProbed(nbrs, offsets(root), d, nbrs, offsets(g), deg(g), rootBits, tmp, wc)
       // rename: verts is sorted, binary search positions (order-preserving)
       val loc = new Array[Int](len)
       var i = 0

@@ -72,11 +72,11 @@ object MotifFormulas {
   )
 
   /** One pass over the edges u < v. N(u) stays fixed across u's arcs, so
-    * each t_e = |N(u) ∩ N(v)| probes one n-bit bitmap of N(u) held for the
-    * whole call; the work is still the linear merge's step count.
+    * each t_e = |N(u) ∩ N(v)| is counted, not built, by probing one n-bit
+    * bitmap of N(u) held for the whole call; the work is still the linear
+    * merge's step count.
     */
   private def edgePrimitives(g: CSRGraph, wc: WorkCounter): EdgePrimitives = {
-    val common = new Array[Int](math.max(1, g.maxDegree)) // N(u) ∩ N(v); only its size is used
     val nu = new ListBitmap(g.n) // N(u), fixed across u's arcs
     var t3 = 0L; var tailed2x = 0L; var dia = 0L; var paths = 0L
     var u = 0
@@ -86,9 +86,8 @@ object MotifFormulas {
         val v = g.nbrs(i)
         if (u < v) {
           nu.mark(g.nbrs, g.nbrStart(u), g.deg(u))
-          val te = SetOps.intersectProbed(
-            g.nbrs, g.nbrStart(u), g.deg(u), g.nbrs, g.nbrStart(v), g.deg(v),
-            nu, common, wc).toLong
+          val te = SetOps.intersectProbedCount(
+            g.nbrs, g.nbrStart(u), g.deg(u), g.nbrs, g.nbrStart(v), g.deg(v), nu, wc).toLong
           t3 += te
           tailed2x += te * (g.deg(u) + g.deg(v) - 4)
           dia += te * (te - 1) / 2

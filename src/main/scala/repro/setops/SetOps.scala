@@ -31,6 +31,9 @@ final class ListBitmap(capacity: Int) {
 
   /** Whether `v` is an element of the held list. */
   @inline def has(v: Int): Boolean = ((words(v >>> 6) >>> v) & 1L) != 0
+
+  /** 1 if `v` is an element of the held list, else 0: a count adds it. */
+  @inline def bit(v: Int): Int = ((words(v >>> 6) >>> v) & 1L).toInt
 }
 
 /** Set primitives over sorted Int array *views* — the analog of the paper's
@@ -51,6 +54,14 @@ final class ListBitmap(capacity: Int) {
   * They count the steps the bounded linear merge would take, computed in
   * closed form from the list positions, so the work a set reports does
   * not depend on the kernel that built it.
+  *
+  * Where only a set's size is read (a DFS leaf), the count-only forms
+  * [[intersectCount]], [[differenceCount]], [[intersectProbedCount]] and
+  * [[differenceProbedCount]] return their twin's |out| and add their
+  * twin's work, computed the same way, with no output buffer: they store
+  * nothing, and the probed ones add bitmap bits instead of branching on
+  * them. [[differenceStableCount]] counts A − B when the bitmap holds A,
+  * the first list, by scanning B instead of A.
   *
   * Outputs are always written from index 0 of `out`. In-place chaining
   * (`out eq a` with offset 0) is safe for every merge because the write
@@ -85,6 +96,24 @@ object SetOps {
     o
   }
 
+  /** |A ∩ B| within (`lb`, `ub`): [[intersect]]'s count and work. */
+  def intersectCount(a: Array[Int], aOff: Int, aLen: Int,
+                     b: Array[Int], bOff: Int, bLen: Int,
+                     wc: WorkCounter, ub: Int = Int.MaxValue, lb: Int = Int.MinValue): Int = {
+    val i0 = countAtMost(a, aOff, aLen, lb, wc); val j0 = countAtMost(b, bOff, bLen, lb, wc)
+    var i = i0; var j = j0; var o = 0
+    while (i < aLen && j < bLen) {
+      val x = a(aOff + i)
+      if (x >= ub) { wc.add((i - i0).toLong + (j - j0)); return o }
+      val y = b(bOff + j)
+      if (x == y) { o += 1; i += 1; j += 1 }
+      else if (x < y) i += 1
+      else j += 1
+    }
+    wc.add((i - i0).toLong + (j - j0))
+    o
+  }
+
   /** out = A − B by linear merge, keeping only elements in (`lb`, `ub`),
     * bounded and counted as in [[intersect]]: the search steps plus
     * `i + j` from the trimmed starts, on early exit and on completion
@@ -101,6 +130,23 @@ object SetOps {
       if (x >= ub) { wc.add((i - i0).toLong + (j - j0)); return o }
       while (j < bLen && b(bOff + j) < x) j += 1
       if (j >= bLen || b(bOff + j) != x) { out(o) = x; o += 1 }
+      i += 1
+    }
+    wc.add((i - i0).toLong + (j - j0))
+    o
+  }
+
+  /** |A − B| within (`lb`, `ub`): [[difference]]'s count and work. */
+  def differenceCount(a: Array[Int], aOff: Int, aLen: Int,
+                      b: Array[Int], bOff: Int, bLen: Int,
+                      wc: WorkCounter, ub: Int = Int.MaxValue, lb: Int = Int.MinValue): Int = {
+    val i0 = countAtMost(a, aOff, aLen, lb, wc); val j0 = countAtMost(b, bOff, bLen, lb, wc)
+    var i = i0; var j = j0; var o = 0
+    while (i < aLen) {
+      val x = a(aOff + i)
+      if (x >= ub) { wc.add((i - i0).toLong + (j - j0)); return o }
+      while (j < bLen && b(bOff + j) < x) j += 1
+      if (j >= bLen || b(bOff + j) != x) o += 1
       i += 1
     }
     wc.add((i - i0).toLong + (j - j0))
@@ -151,6 +197,32 @@ object SetOps {
     o
   }
 
+  /** |A ∩ B| within (`lb`, `ub`): [[intersectProbed]]'s count and work. */
+  def intersectProbedCount(a: Array[Int], aOff: Int, aLen: Int,
+                           b: Array[Int], bOff: Int, bLen: Int, bits: ListBitmap,
+                           wc: WorkCounter, ub: Int = Int.MaxValue, lb: Int = Int.MinValue): Int = {
+    val aS = aOff + countAtMost(a, aOff, aLen, lb, wc); val aE = aOff + aLen
+    val bS = bOff + countAtMost(b, bOff, bLen, lb, wc); val bE = bOff + bLen
+    if (aS == aE || bS == bE || a(aS) >= ub) return 0
+    val bL = b(bE - 1)
+    var o = 0
+    if (bits.holds(a, aOff, aLen)) {
+      val aN = if (a(aE - 1) < ub) aE - aS else countLess(a, aS, aE, ub)
+      val aL = a(aS + aN - 1)
+      var y = bS
+      while (y < bE && b(y) <= aL) { o += bits.bit(b(y)); y += 1 }
+      wc.add(if (aL <= bL) aN.toLong + (y - bS) else (bE - bS).toLong + countLess(a, aS, aS + aN, bL + 1))
+    } else {
+      val last = math.min(ub - 1, bL)
+      var x = aS
+      while (x < aE && a(x) <= last) { o += bits.bit(a(x)); x += 1 }
+      wc.add(
+        if (x < aE && a(x) < ub) (bE - bS).toLong + (x - aS)
+        else (x - aS).toLong + countLess(b, bS, bE, a(x - 1) + 1))
+    }
+    o
+  }
+
   /** out = A − B, the set and the counted work of [[difference]], where
     * `bits` holds B: A is scanned from its `lb` trim up to `ub`, keeping
     * the elements whose bit is clear. With A* and aL as in
@@ -171,6 +243,42 @@ object SetOps {
     }
     if (x > aS) wc.add((x - aS).toLong + countLess(b, bS, bOff + bLen, a(x - 1)))
     o
+  }
+
+  /** |A − B| within (`lb`, `ub`): [[differenceProbed]]'s count and work,
+    * with `bits` holding B.
+    */
+  def differenceProbedCount(a: Array[Int], aOff: Int, aLen: Int,
+                            b: Array[Int], bOff: Int, bLen: Int, bits: ListBitmap,
+                            wc: WorkCounter, ub: Int = Int.MaxValue, lb: Int = Int.MinValue): Int = {
+    val aS = aOff + countAtMost(a, aOff, aLen, lb, wc); val aE = aOff + aLen
+    val bS = bOff + countAtMost(b, bOff, bLen, lb, wc)
+    var x = aS; var hits = 0
+    while (x < aE && a(x) < ub) { hits += bits.bit(a(x)); x += 1 }
+    if (x > aS) wc.add((x - aS).toLong + countLess(b, bS, bOff + bLen, a(x - 1)))
+    (x - aS) - hits
+  }
+
+  /** |A − B| within (`lb`, `ub`) and [[difference]]'s work, where `bits`
+    * holds A, a list that stays fixed while B changes. With A*, aL and B′
+    * as in [[intersectProbed]], the count is |A*| − |A* ∩ B′|: B′ is
+    * scanned up to aL, adding the bits of its elements, and |A*| is the
+    * trimmed length or an uncounted search for `ub`. The merge steps are
+    * |A*| + #{B′ < aL}, the scan's length less aL itself if B′ holds it.
+    */
+  def differenceStableCount(a: Array[Int], aOff: Int, aLen: Int,
+                            b: Array[Int], bOff: Int, bLen: Int, bits: ListBitmap,
+                            wc: WorkCounter, ub: Int = Int.MaxValue, lb: Int = Int.MinValue): Int = {
+    val aS = aOff + countAtMost(a, aOff, aLen, lb, wc); val aE = aOff + aLen
+    val bS = bOff + countAtMost(b, bOff, bLen, lb, wc); val bE = bOff + bLen
+    if (aS == aE || a(aS) >= ub) return 0
+    val aN = if (a(aE - 1) < ub) aE - aS else countLess(a, aS, aE, ub)
+    val aL = a(aS + aN - 1)
+    var y = bS; var hits = 0
+    while (y < bE && b(y) < aL) { hits += bits.bit(b(y)); y += 1 }
+    wc.add(aN.toLong + (y - bS))
+    if (y < bE && b(y) == aL) hits += 1
+    aN - hits
   }
 
   /** Number of elements in a(from until to) below `x`, found by an

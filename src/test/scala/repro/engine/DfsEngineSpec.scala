@@ -239,6 +239,39 @@ class DfsEngineSpec extends AnyFunSuite {
     ("induced-3-star-lgs", "pl-skew") -> Recorded(4274L, 18670L, Seq(60L, 276L, 1072L, 4274L), 0L, 18730L),
   )
 
+  /** Rows for the plans whose last level counts its set instead of building
+    * it, recorded at commit 5a4f501, where every leaf still built its set:
+    * the induced wedge (its one merge, N(v0) − N(v1), probes the owner's
+    * N(v0)), the induced tailed triangle under LGS (its leaf may hold a
+    * matched vertex, so it still builds) and the 4-clique under LGS.
+    */
+  private val recordedAt5a4f501: Map[(String, String), Recorded] = Map(
+    ("induced-wedge", "pl-mild") -> Recorded(2340L, 8129L, Seq(100L, 600L, 2340L), 0L, 8729L),
+    ("induced-wedge", "pl-skew") -> Recorded(1077L, 3981L, Seq(60L, 300L, 1077L), 0L, 4281L),
+    ("induced-tailed-triangle-lgs", "pl-mild") -> Recorded(2781L, 22080L, Seq(100L, 566L, 330L, 2781L), 0L, 22180L),
+    ("induced-tailed-triangle-lgs", "pl-skew") -> Recorded(2042L, 16782L, Seq(60L, 276L, 294L, 2042L), 0L, 16842L),
+    ("4-clique-lgs", "pl-mild") -> Recorded(8L, 1448L, Seq(100L, 239L, 104L, 8L), 0L, 1548L),
+    ("4-clique-lgs", "pl-skew") -> Recorded(35L, 827L, Seq(60L, 110L, 90L, 35L), 0L, 887L),
+  )
+
+  /** The local and Spark runs of `p`'s plan agree with `NaiveMatcher` and
+    * with `r` in every counted field.
+    */
+  private def assertRecorded(g: CSRGraph, p: Pattern, induced: Boolean, countingOnly: Boolean, cfg: DfsConfig,
+                             r: Recorded): Unit = {
+    val plan = Planner.plan(p, induced, countingOnly)
+    val local = DfsEngine.runLocal(g, plan, cfg)
+    val dist = DfsEngine.run(repro.SparkSpec.shared, g, plan, cfg)
+    assert(local.count == NaiveMatcher.countUnique(g, p, induced))
+    assert(local.count == r.count)
+    assert(local.setOpWork == r.setOpWork)
+    assert(local.levelNodes.toSeq == r.levelNodes)
+    assert(local.bufferSavedWork == r.bufferSavedWork)
+    assert(DfsEngine.perTaskWork(g, plan, cfg).sum == r.perTaskWorkSum)
+    assert(dist.count == local.count && dist.setOpWork == local.setOpWork && dist.tasks == local.tasks)
+    assert(dist.levelNodes.toSeq == local.levelNodes.toSeq && dist.bufferSavedWork == local.bufferSavedWork)
+  }
+
   for {
     (name, p, induced, countingOnly, cfg) <- Seq(
       ("g2miner-4-cycle", Patterns.cycle4, false, false, DfsConfig(lgs = true)),
@@ -250,18 +283,17 @@ class DfsEngineSpec extends AnyFunSuite {
       ("induced-3-star-lgs", Patterns.star(4), true, false, DfsConfig(lgs = true)))
     (gName, g) <- Seq("pl-mild" -> TestGraphs.plMild, "pl-skew" -> TestGraphs.plSkew)
   } test(s"probed merges keep the merged work recorded at dcf2add: $name on $gName") {
-    val plan = Planner.plan(p, induced, countingOnly)
-    val local = DfsEngine.runLocal(g, plan, cfg)
-    val dist = DfsEngine.run(repro.SparkSpec.shared, g, plan, cfg)
-    val r = recordedAtDcf2add((name, gName))
-    assert(local.count == NaiveMatcher.countUnique(g, p, induced))
-    assert(local.count == r.count)
-    assert(local.setOpWork == r.setOpWork)
-    assert(local.levelNodes.toSeq == r.levelNodes)
-    assert(local.bufferSavedWork == r.bufferSavedWork)
-    assert(DfsEngine.perTaskWork(g, plan, cfg).sum == r.perTaskWorkSum)
-    assert(dist.count == local.count && dist.setOpWork == local.setOpWork && dist.tasks == local.tasks)
-    assert(dist.levelNodes.toSeq == local.levelNodes.toSeq && dist.bufferSavedWork == local.bufferSavedWork)
+    assertRecorded(g, p, induced, countingOnly, cfg, recordedAtDcf2add((name, gName)))
+  }
+
+  for {
+    (name, p, induced, cfg) <- Seq(
+      ("induced-wedge", Patterns.wedge, true, DfsConfig()),
+      ("induced-tailed-triangle-lgs", Patterns.tailedTriangle, true, DfsConfig(lgs = true)),
+      ("4-clique-lgs", Patterns.clique(4), false, DfsConfig(lgs = true)))
+    (gName, g) <- Seq("pl-mild" -> TestGraphs.plMild, "pl-skew" -> TestGraphs.plSkew)
+  } test(s"counting leaves keep the work recorded at 5a4f501: $name on $gName") {
+    assertRecorded(g, p, induced, countingOnly = false, cfg, recordedAt5a4f501((name, gName)))
   }
 
   test("edgelist reduction halves tasks when a root condition exists") {

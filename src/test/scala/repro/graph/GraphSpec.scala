@@ -3,7 +3,7 @@ package repro.graph
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
 import repro.engine.NaiveMatcher.hasEdge
-import repro.setops.WorkCounter
+import repro.setops.{ListBitmap, WorkCounter}
 
 class GraphSpec extends AnyFunSuite {
 
@@ -85,6 +85,21 @@ class GraphSpec extends AnyFunSuite {
       assert(hasEdge(lg, i, j) == hasEdge(g, verts(i), verts(j)))
     assert(wc.ops > 0)
   }
+
+  /** The work of building every root's local graph, recorded at commit
+    * 5a4f501, where each neighbour's list was merged with N(root).
+    */
+  for ((gName, g, work) <- Seq(("pl-dense", TestGraphs.plDense, 11760L), ("pl-skew", TestGraphs.plSkew, 5506L)))
+    test(s"localGraph probing N(root) builds every root's induced neighborhood with the merged work on $gName") {
+      val wc = new WorkCounter; val rootBits = new ListBitmap(g.n)
+      for (root <- 0 until g.n) {
+        val (lg, verts) = g.localGraph(root, wc, rootBits)
+        assert(verts.toSeq == g.nbrs.slice(g.nbrStart(root), g.nbrEnd(root)).toSeq)
+        for (i <- 0 until lg.n; j <- 0 until lg.n if i != j)
+          assert(hasEdge(lg, i, j) == hasEdge(g, verts(i), verts(j)), s"root $root")
+      }
+      assert(wc.ops == work)
+    }
 
   test("powerLaw generator is deterministic in its seed") {
     val a = SynthGraphs.powerLaw(100, 250, 0.7, seed = 9)

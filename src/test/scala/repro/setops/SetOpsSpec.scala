@@ -267,6 +267,59 @@ class SetOpsSpec extends AnyFunSuite {
     assert(out.take(4).toSeq == Seq(3, 8, 21, 34) && wcD.ops == 6 + 4) // all of A; B below 34
   }
 
+  // ---- count-only merges -------------------------------------------------
+  private val countKernels = Seq("intersect", "difference", "intersectProbed/A", "intersectProbed/B",
+    "differenceProbed", "differenceStable")
+
+  /** The count-only form returns its twin's |out| and adds exactly its
+    * twin's work. The bitmap holds A for "intersectProbed/A" and
+    * "differenceStable" (whose twin is `difference`), else B.
+    */
+  private def assertCountAgrees(kernel: String, a: Array[Int], aOff: Int, aLen: Int,
+                                b: Array[Int], bOff: Int, bLen: Int, ub: Int, lb: Int): Unit = {
+    val bits = new ListBitmap(300)
+    if (kernel == "intersectProbed/A" || kernel == "differenceStable") bits.mark(a, aOff, aLen) else bits.mark(b, bOff, bLen)
+    val out = new Array[Int](math.max(aLen, bLen) + 1)
+    val wcT = new WorkCounter; val wcC = new WorkCounter
+    val (twin, count) = kernel match {
+      case "intersect" => (SetOps.intersect(a, aOff, aLen, b, bOff, bLen, out, wcT, ub, lb),
+        SetOps.intersectCount(a, aOff, aLen, b, bOff, bLen, wcC, ub, lb))
+      case "difference" => (SetOps.difference(a, aOff, aLen, b, bOff, bLen, out, wcT, ub, lb),
+        SetOps.differenceCount(a, aOff, aLen, b, bOff, bLen, wcC, ub, lb))
+      case "intersectProbed/A" | "intersectProbed/B" => (SetOps.intersectProbed(a, aOff, aLen, b, bOff, bLen, bits, out, wcT, ub, lb),
+        SetOps.intersectProbedCount(a, aOff, aLen, b, bOff, bLen, bits, wcC, ub, lb))
+      case "differenceProbed" => (SetOps.differenceProbed(a, aOff, aLen, b, bOff, bLen, bits, out, wcT, ub, lb),
+        SetOps.differenceProbedCount(a, aOff, aLen, b, bOff, bLen, bits, wcC, ub, lb))
+      case "differenceStable" => (SetOps.difference(a, aOff, aLen, b, bOff, bLen, out, wcT, ub, lb),
+        SetOps.differenceStableCount(a, aOff, aLen, b, bOff, bLen, bits, wcC, ub, lb))
+    }
+    val clue = s"$kernel a=${a.slice(aOff, aOff + aLen).toSeq} b=${b.slice(bOff, bOff + bLen).toSeq} lb=$lb ub=$ub"
+    assert(count == twin, clue)
+    assert(wcC.ops == wcT.ops, s"work: $clue")
+  }
+
+  for (kernel <- countKernels)
+    test(s"count-only $kernel returns its twin's set size and work on random bounded offset views (200 cases)") {
+      for (_ <- 1 to 200) {
+        val (a, aOff, aLen) = randomView(); val (b, bOff, bLen) = randomView()
+        assertCountAgrees(kernel, a, aOff, aLen, b, bOff, bLen, randomBound(), randomBound())
+      }
+    }
+
+  test("the stable-A difference count agrees with difference on an empty A*, ub below A, B spent before aL and aL in B") {
+    val a = Array(3, 5, 8, 13, 21, 34); val b = Array(1, 5, 13, 20); val e = Array.empty[Int]
+    def agree(x: Array[Int], y: Array[Int], ub: Int = Int.MaxValue, lb: Int = Int.MinValue): Unit =
+      assertCountAgrees("differenceStable", x, 0, x.length, y, 0, y.length, ub, lb)
+    agree(e, b); agree(a, b, lb = 34); agree(a, b, ub = 14, lb = 13)  // A* empty
+    agree(a, b, ub = 2); agree(a, b, ub = Int.MinValue)               // ub below every element
+    agree(a, b); agree(a, b, lb = 4); agree(a, e)                      // B (last 20) spent before aL = 34
+    agree(a, b, ub = 14); agree(a, b, ub = 20, lb = 2); agree(a.take(4), b) // aL = 13 ∈ B
+    // A* = 3 5 8 13 and B′ < 13 = 1 5: six merge steps; 3 and 8 remain
+    val bits = new ListBitmap(64); bits.mark(a, 0, 4)
+    val wc = new WorkCounter
+    assert(SetOps.differenceStableCount(a, 0, 4, b, 0, b.length, bits, wc) == 2 && wc.ops == 6)
+  }
+
   test("after re-marking, the bitmap holds exactly the new list") {
     val bits = new ListBitmap(300)
     for (_ <- 1 to 100) {
@@ -275,6 +328,7 @@ class SetOpsSpec extends AnyFunSuite {
       val set = a.slice(off, off + len).toSet
       assert(bits.holds(a, off, len))
       assert((0 until 300).forall(v => bits.has(v) == set.contains(v)), s"list ${a.slice(off, off + len).toSeq}")
+      assert((0 until 300).forall(v => bits.bit(v) == (if (set.contains(v)) 1 else 0)))
     }
   }
 
