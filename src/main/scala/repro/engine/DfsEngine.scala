@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.graph.CSRGraph
 import repro.plan.{Planner, SearchPlan}
 import repro.sched.Scheduler
-import repro.setops.{ListBitmap, SetOps, WorkCounter}
+import repro.setops.{BitSetOps, ListBitmap, SetOps, WorkCounter}
 
 /** Configuration knobs mirroring the paper's optimization letters (Table 2).
   * Tasks are always edge-parallel (§5.1 (2)) with edgelist reduction
@@ -23,7 +23,8 @@ import repro.setops.{ListBitmap, SetOps, WorkCounter}
   *                       `Planner.plan(countingOnly = true)` sets
   * @param lgs            local graph search for hub patterns (opt E), on
   *                       inputs whose maximum degree is at most
-  *                       [[DfsEngine.LgsMaxDegree]]
+  *                       [[DfsEngine.LgsMaxDegree]]; each task holds its
+  *                       root's local graph as bit rows (opt F)
   * @param wholeListScans Pangolin's extend-then-filter scan volume: no
   *                       buffer reuse (opt K), no incremental sets
   *                       (`SearchPlan.extendsParent`) and no set bounding
@@ -75,12 +76,13 @@ final case class Metrics(
   * level's symmetry bounds (§6.1), so the set they return is exactly its
   * candidates. It holds when the level computes its own set, lends it to
   * no later level (which may need more) and merges at least once; every
-  * other level is cut to its bounds after the set is built. `probe` is the
-  * position whose list the first intersection, N(conn(0)) ∩ N(conn(1)),
-  * probes as a bitmap (−1: it merges), and `antiProbe(x)` says whether
-  * the difference with N(anti(x)) probes one. `stableBase` marks a last
-  * level whose one merge is N(conn(0)) − N(anti(0)) with only the first
-  * list stable: when it counts, it probes that list's bitmap.
+  * other level is cut to its bounds after the set is built. The last three
+  * fields serve edge tasks only: `probe` is the position whose list the
+  * first intersection, N(conn(0)) ∩ N(conn(1)), probes as a bitmap (−1: it
+  * merges), and `antiProbe(x)` says whether the difference with
+  * N(anti(x)) probes one. `stableBase` marks a last level whose one merge
+  * is N(conn(0)) − N(anti(0)) with only the first list stable: when it
+  * counts, it probes that list's bitmap.
   */
 private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers: Array[Int],
                           val lowers: Array[Int], val unmatched: Array[Int], val reuse: Int,
@@ -94,15 +96,15 @@ private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers
   * primitives, symmetry bounds and buffer reuse of §5/§6, which the
   * constructor fixes once per level as the code generator does per kernel.
   *
-  * A list that stays fixed across a level's parent loop is probed as a
-  * bitmap instead of merged (§6 buffers what an inner loop does not
-  * change): at level i ≥ 3 the list of every position p ≤ i − 2, and for
-  * edge tasks the list of the arc's owner, whose arcs [[runSlot]] runs
-  * back to back. Under LGS the same rule holds over local ids. A level's
-  * first intersection probes when one of its two lists is stable, and a
-  * difference probes when the list it subtracts is; extending levels,
-  * levels that reuse a set and merges with no stable list merge. Either
-  * way the counted work is the bounded linear merge's step count.
+  * Edge tasks merge sorted neighbour lists. A list that stays fixed
+  * across a level's parent loop is probed as a bitmap instead of merged
+  * (§6 buffers what an inner loop does not change): at level i ≥ 3 the
+  * list of every position p ≤ i − 2, and the list of the arc's owner,
+  * whose arcs [[runSlot]] runs back to back. A level's first intersection
+  * probes when one of its two lists is stable, and a difference probes
+  * when the list it subtracts is; extending levels, levels that reuse a
+  * set and merges with no stable list merge. Either way the counted work
+  * is the bounded linear merge's step count.
   *
   * The last level only adds |W|, so a bounded last level runs every merge
   * but its last as above and only counts the last one, building no set,
@@ -113,14 +115,24 @@ private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers
   * conn(0) is the edge task's owner), the count scans N(anti(0)) and
   * probes N(conn(0))'s bitmap.
   *
-  * Memory per instance, beyond the shared graph, is `(k + 1) × max(1,
-  * maxDegree)` ints: one candidate buffer per pattern position plus the
-  * identity view LGS tasks scan, and up to k bitmaps of `max(n,
-  * maxDegree)` bits, one per position whose list some level probes, plus,
-  * under LGS, position 0's, which holds the root's list while its local
-  * graph is built. An LGS task also holds its root's local graph until the
-  * next task starts (a bitmap keeps the last list it marked); nothing grows
-  * with the task count.
+  * LGS tasks hold the root's local graph as bit rows (opt F): one row of
+  * ⌈d/64⌉ words per local vertex, filled from the intersections that
+  * [[CSRGraph.foreachLocalList]] probes and counts. Every level's set is
+  * computed in words ([[BitSetOps]]: AND for `conn`, AND-NOT for `anti`,
+  * masks for the bounds), a loop visits its elements by trailing-zero
+  * scans, and a leaf takes its size from a popcount. Each step adds, in
+  * closed form, the work the list executor counts for the same step: the
+  * same merges, cuts, leaf searches and per-loop steps, so every counted
+  * field equals that of merging sorted local lists.
+  *
+  * Memory per instance, beyond the shared graph: edge tasks hold `k ×
+  * max(1, maxDegree)` ints of candidate buffers and up to k bitmaps of
+  * `max(n, maxDegree)` bits, one per position whose list some level
+  * probes. LGS tasks hold one row buffer of Δ·⌈Δ/64⌉ longs for Δ =
+  * maxDegree (2 MiB at [[DfsEngine.LgsMaxDegree]]), k + 1 sets of ⌈Δ/64⌉
+  * longs, Δ ints of row lengths and Δ of list buffer, and an n-bit bitmap
+  * of the root's list. A task's rows stay until the next task overwrites
+  * them; nothing grows with the task count.
   *
   * @param lgsMode every task is a local graph search (opt E): a vertex task
   *                that searches the root's induced neighborhood. Otherwise
@@ -157,12 +169,12 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       val merged = if (extend) plan.levels(li - 1).conn ++ plan.levels(li - 1).anti else Vector()
       val conn = spec.conn.filter(j => j != root && !merged.contains(j)).toArray
       val anti = spec.anti.filterNot(merged.contains).toArray
-      // every input after the first (the LGS identity view when conn is
+      // every input after the first (all local vertices when conn is
       // empty) is one merge; an extended set's first input is its parent's
       val merges = (if (extend) conn.length else math.max(conn.length, 1) - 1) + anti.length
-      // lists fixed across the parent loop; the lower of two stable
-      // positions is re-marked less often
-      def stable(p: Int) = !extend && ((i >= 3 && p <= i - 2) || p == owner)
+      // lists fixed across the parent loop, for edge tasks; the lower of
+      // two stable positions is re-marked less often
+      def stable(p: Int) = !lgsMode && !extend && ((i >= 3 && p <= i - 2) || p == owner)
       val antiProbe = anti.map(stable)
       new Level(conn, anti, spec.uppers.toArray,
         spec.lowers.map(j => if (j == root) k else j).toArray,
@@ -176,25 +188,38 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
   private val fuseAt = if (plan.fusedCount) k - 2 else -1
 
   private val cap = math.max(1, g.maxDegree)
-  private val buf = Array.ofDim[Int](k, cap)
-  // Candidate-set views per position: (array, offset, length).
+  // Candidate-set views per position: (array, offset, length). Edge tasks
+  // hold sorted lists, LGS tasks bit sets of the local vertices.
+  private val buf = if (lgsMode) null else Array.ofDim[Int](k, cap)
   private val candArr = new Array[Array[Int]](k)
   private val candOff = new Array[Int](k)
   private val candLen = new Array[Int](k)
-  private val identity = Array.range(0, cap) // "all local vertices" view for LGS
-  // bitmap of position p's list, for the positions some level probes; under
-  // LGS position 0's holds the root's global list, which its local graph probes
+  // bitmap of position p's list, for the positions some level probes
   private val bits: Array[ListBitmap] = Array.tabulate(k) { p =>
-    if ((lgsMode && p == 0) || levels.exists(lv => lv != null && (lv.probe == p ||
+    if (levels.exists(lv => lv != null && (lv.probe == p ||
         lv.anti.zip(lv.antiProbe).contains((p, true)) || (lv.stableBase && lv.conn(0) == p))))
       new ListBitmap(math.max(g.n, cap))
     else null
   }
-  private var lg: CSRGraph = g                // graph used for set ops (local in LGS)
 
-  @inline private def nbrA: Array[Int] = lg.nbrs
-  @inline private def nOff(v: Int): Int = lg.offsets(v)
-  @inline private def nLen(v: Int): Int = lg.offsets(v + 1) - lg.offsets(v)
+  // LGS (opt F): the root's local graph as bit rows of `words` longs, row u
+  // at u × words, with its length in rowLen(u); `all` holds every local
+  // vertex. Row and set buffers are sized for the largest root.
+  private val capWords = if (lgsMode) BitSetOps.words(cap) else 0
+  private val rows = new Array[Long](if (lgsMode) cap * capWords else 0)
+  private val rowLen = new Array[Int](if (lgsMode) cap else 0)
+  private val all = new Array[Long](capWords)
+  private val sets = Array.ofDim[Long](if (lgsMode) k else 0, capWords)
+  private val setArr = new Array[Array[Long]](k)
+  private val setOff = new Array[Int](k)
+  private val rootBits = if (lgsMode) new ListBitmap(g.n) else null
+  private val loc = new Array[Int](if (lgsMode) cap else 0)
+  private var d = 0     // local vertices of the current LGS task
+  private var words = 0 // ⌈d/64⌉
+
+  @inline private def nbrA: Array[Int] = g.nbrs
+  @inline private def nOff(v: Int): Int = g.offsets(v)
+  @inline private def nLen(v: Int): Int = g.offsets(v + 1) - g.offsets(v)
 
   @inline private def minKey(js: Array[Int]): Int = {
     var m = Int.MaxValue; var x = 0
@@ -214,7 +239,7 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
   }
   @inline private def lenSum(js: Array[Int]): Long = {
     var s = 0L; var x = 0
-    while (x < js.length) { s += nLen(matched(js(x))); x += 1 }
+    while (x < js.length) { s += (if (lgsMode) rowLen(matched(js(x))) else nLen(matched(js(x)))); x += 1 }
     s
   }
 
@@ -241,8 +266,6 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     val conn = lv.conn; var arr: Array[Int] = null; var off = 0; var len = 0; var ci = 1
     if (lv.extend) {
       arr = candArr(i - 1); off = candOff(i - 1); len = candLen(i - 1); ci = 0
-    } else if (conn.length == 0) { // LGS: every local vertex is a neighbor of the root
-      arr = identity; off = 0; len = lg.n
     } else {
       val c0 = matched(conn(0))
       arr = nbrA; off = nOff(c0); len = nLen(c0)
@@ -395,18 +418,134 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     if (k == 2) count += 1 else descend(2)
   }
 
-  /** LGS task (hub patterns): search v0's local induced graph (Fig. 7). */
+  /** LGS task (hub patterns): search v0's local induced graph (Fig. 7),
+    * held as bit rows (opt F).
+    */
   private def runLgsTask(v0: Int): Unit = {
     tasksRun += 1
     if (g.deg(v0) < k - 1) return
-    val (local, verts) = g.localGraph(v0, wc, bits(0))
-    lg = local
-    // #local vertices with global id < v0 (order-preserving rename)
-    var lo = 0; var hi = verts.length
-    while (lo < hi) { val m = (lo + hi) >>> 1; if (verts(m) < v0) lo = m + 1 else hi = m }
+    d = g.deg(v0); words = BitSetOps.words(d)
+    java.util.Arrays.fill(rows, 0, d * words, 0L)
+    g.foreachLocalList(v0, wc, rootBits, loc) { (u, l, len) =>
+      val base = u * words
+      var x = 0
+      while (x < len) { val v = l(x); rows(base + (v >>> 6)) |= 1L << v; x += 1 }
+      rowLen(u) = len
+    }
+    java.util.Arrays.fill(all, 0, words, -1L)
+    if ((d & 63) != 0) all(words - 1) = ~(-1L << d)
+    // #local vertices with global id < v0 (the renaming keeps id order)
+    val lo = -java.util.Arrays.binarySearch(g.nbrs, g.offsets(v0), g.offsets(v0 + 1), v0) - 1 - g.offsets(v0)
     matched(0) = lo
     matched(k) = lo - 1
-    descend(1)
+    descendLocal(1)
+  }
+
+  /** Compute (or reuse) position i's candidate set over the local vertices
+    * as bits and return its size, adding the work of the list merges
+    * [[computeCands]] would run: a level extends, reuses and applies its
+    * bounds as there, over the local graph's rows, with `all` standing for
+    * an empty `conn` (every local vertex is a neighbour of the root).
+    */
+  private def computeSet(i: Int): Int = {
+    val lv = levels(i)
+    if (lv.reuse >= 0) {
+      val j = lv.reuse; setArr(i) = setArr(j); setOff(i) = setOff(j); candLen(i) = candLen(j)
+      savedWork += lenSum(lv.conn) + lenSum(lv.anti)
+      return candLen(i)
+    }
+    val ub = if (lv.bounded) minKey(lv.uppers) else Int.MaxValue
+    val lb = if (lv.bounded) maxKey(lv.lowers) else Int.MinValue
+    val conn = lv.conn; var arr = all; var off = 0; var len = d; var ci = 0
+    if (lv.extend) { arr = setArr(i - 1); off = setOff(i - 1); len = candLen(i - 1) }
+    else if (conn.length > 0) { val c = matched(conn(0)); arr = rows; off = c * words; len = rowLen(c); ci = 1 }
+    val out = sets(i)
+    while (ci < conn.length) {
+      val c = matched(conn(ci))
+      len = BitSetOps.intersect(arr, off, len, rows, c * words, rowLen(c), out, 0, d, wc, ub, lb)
+      arr = out; off = 0; ci += 1
+    }
+    var ai = 0
+    while (ai < lv.anti.length) {
+      val a = matched(lv.anti(ai))
+      len = BitSetOps.difference(arr, off, len, rows, a * words, rowLen(a), out, 0, d, wc, ub, lb)
+      arr = out; off = 0; ai += 1
+    }
+    setArr(i) = arr; setOff(i) = off; candLen(i) = len
+    len
+  }
+
+  /** [[matchedInRange]] over the `n` elements of position i's set in
+    * [lo, hi), with each search's steps replayed from its rank.
+    */
+  private def matchedInSet(i: Int, lo: Int, hi: Int, n: Int): Int = {
+    val js = levels(i).unmatched
+    if (n == 0 || js.length == 0) return 0
+    val arr = setArr(i); val off = setOff(i)
+    val min = BitSetOps.lowest(arr, off, lo, hi); val max = BitSetOps.highest(arr, off, lo, hi)
+    var cnt = 0; var x = 0
+    while (x < js.length) {
+      val v = matched(js(x))
+      if (v >= min && v <= max) {
+        val in = BitSetOps.has(arr, off, v)
+        wc.add(SetOps.containsSteps(n, BitSetOps.count(arr, off, min, v), in))
+        if (in) cnt += 1
+      }
+      x += 1
+    }
+    cnt
+  }
+
+  /** [[descend]] over bit sets: the same leaves, cuts and loops, each
+    * adding the steps its list form counts. The loop visits the set's
+    * elements by trailing-zero scans; a leaf takes its size from popcounts.
+    */
+  private def descendLocal(i: Int): Unit = {
+    val lv = levels(i)
+    val len = computeSet(i)
+    if (i == fuseAt) {
+      val n = (len - matchedInSet(i, 0, d, len)).toLong
+      count += n * (n - 1) / 2
+      lvl(i) += n
+      lvl(i + 1) += n * (n - 1) / 2
+      return
+    }
+    val arr = setArr(i); val off = setOff(i)
+    var lo = 0; var hi = d; var n = len
+    if (!lv.bounded) { // descend's cut: countAtMost(lb), then countBelow(ub) above it
+      lo = BitSetOps.from(maxKey(lv.lowers), d)
+      val r = BitSetOps.count(arr, off, 0, lo)
+      wc.add(SetOps.atMostSteps(n, r)); n -= r
+      if (lv.uppers.length > 0) {
+        hi = math.max(lo, BitSetOps.until(minKey(lv.uppers), d))
+        val below = BitSetOps.count(arr, off, lo, hi)
+        wc.add(SetOps.atMostSteps(n, below)); n = below
+      }
+    }
+    if (i == k - 1) {
+      val c = n - matchedInSet(i, lo, hi, n)
+      count += c
+      lvl(i) += c
+    } else if (n > 0) {
+      val unmatched = lv.unmatched
+      var w = lo >>> 6; val last = (hi - 1) >>> 6
+      while (w <= last) {
+        var x = arr(off + w)
+        if (w == lo >>> 6) x &= -1L << lo
+        if (w == last) x &= -1L >>> (63 - ((hi - 1) & 63))
+        while (x != 0) {
+          val v = (w << 6) + java.lang.Long.numberOfTrailingZeros(x)
+          x &= x - 1
+          if (!isMatched(v, unmatched)) {
+            matched(i) = v
+            lvl(i) += 1
+            descendLocal(i + 1)
+          }
+        }
+        w += 1
+      }
+      wc.add(n.toLong)
+    }
   }
 
   /** Metrics of the tasks run so far; level 0 is left to the caller. */
@@ -428,8 +567,8 @@ object DfsEngine {
 
   /** Input-aware LGS threshold (opt E): on an input whose maximum degree
     * exceeds it, LGS is skipped and the search stays global. An LGS task
-    * builds its root's induced neighbourhood, up to Δ(Δ − 1) local arcs
-    * held twice while it is built: about 128 MiB per executor thread at
+    * holds its root's induced neighbourhood as bit rows, and each executor
+    * sizes one row buffer for the largest root: Δ·⌈Δ/64⌉ words, 2 MiB at
     * Δ = 4096. The Tw2, Tw4 and Uk analogs exceed it (Δ ≈ 5.9 K–13.8 K);
     * no oriented analog does.
     */

@@ -103,36 +103,47 @@ final class CSRGraph(
   /** Local graph (optimization E, Fig. 7): the subgraph induced by N(root),
     * with vertices renamed 0..d-1 preserving id order (so symmetry bounds
     * survive renaming). Returns (localGraph, localId -> globalId) and adds
-    * the set-op work spent building it to `wc`. N(root) is marked in
-    * `rootBits` (capacity at least n) and each neighbour's list probes it;
-    * the work is the linear merges' step count.
+    * the set-op work spent building it to `wc`, as [[foreachLocalList]].
     */
   def localGraph(root: Int, wc: WorkCounter, rootBits: ListBitmap = new ListBitmap(n)): (CSRGraph, Array[Int]) = {
     val d = deg(root)
-    val verts = java.util.Arrays.copyOfRange(nbrs, offsets(root), offsets(root + 1))
-    val tmp = new Array[Int](d)
     val adjLists = new Array[Array[Int]](d)
-    rootBits.mark(nbrs, offsets(root), d)
-    var li = 0
-    while (li < d) {
-      val g = verts(li)
-      val len = SetOps.intersectProbed(nbrs, offsets(root), d, nbrs, offsets(g), deg(g), rootBits, tmp, wc)
-      // rename: verts is sorted, binary search positions (order-preserving)
-      val loc = new Array[Int](len)
-      var i = 0
-      while (i < len) { loc(i) = java.util.Arrays.binarySearch(verts, 0, d, tmp(i)); i += 1 }
-      adjLists(li) = loc
-      li += 1
+    foreachLocalList(root, wc, rootBits, new Array[Int](d)) { (li, loc, len) =>
+      adjLists(li) = java.util.Arrays.copyOf(loc, len)
     }
     val off = new Array[Int](d + 1)
     var s = 0
-    li = 0
+    var li = 0
     while (li < d) { off(li) = s; s += adjLists(li).length; li += 1 }
     off(d) = s
     val nb = new Array[Int](s)
     li = 0
     while (li < d) { System.arraycopy(adjLists(li), 0, nb, off(li), adjLists(li).length); li += 1 }
-    (new CSRGraph(d, off, nb, Array.empty), verts)
+    (new CSRGraph(d, off, nb, Array.empty), java.util.Arrays.copyOfRange(nbrs, offsets(root), offsets(root + 1)))
+  }
+
+  /** The local graph of `root` list by list: for each local vertex li in
+    * 0 until deg(root), the li-th neighbour of `root`, `f(li, loc, len)`
+    * receives its local neighbours, ascending, in loc(0 until len), a
+    * buffer of at least deg(root) ints that the next call overwrites.
+    * N(root) is marked in `rootBits` (capacity at least n) and each
+    * neighbour's list probes it; the work added to `wc` is the linear
+    * merges' step count.
+    */
+  def foreachLocalList(root: Int, wc: WorkCounter, rootBits: ListBitmap, loc: Array[Int])
+                      (f: (Int, Array[Int], Int) => Unit): Unit = {
+    val s = offsets(root); val d = deg(root)
+    rootBits.mark(nbrs, s, d)
+    var li = 0
+    while (li < d) {
+      val g = nbrs(s + li)
+      val len = SetOps.intersectProbed(nbrs, s, d, nbrs, offsets(g), deg(g), rootBits, loc, wc)
+      // rename in place: a global id's local id is its position in N(root)
+      var i = 0; var from = s
+      while (i < len) { from = java.util.Arrays.binarySearch(nbrs, from, s + d, loc(i)); loc(i) = from - s; i += 1 }
+      f(li, loc, len)
+      li += 1
+    }
   }
 }
 

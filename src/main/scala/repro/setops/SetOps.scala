@@ -312,6 +312,21 @@ object SetOps {
     lo
   }
 
+  /** The steps [[countAtMost]] counts on a view of `len` elements of which
+    * `rank` lie at or below the bound: its binary search, replayed on
+    * positions alone. [[countBelow]] counts `rank` = #{elements < bound}.
+    */
+  def atMostSteps(len: Int, rank: Int): Int = {
+    if (len == 0 || rank == 0) return 0
+    var lo = 1; var hi = len; var s = 0
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (mid < rank) lo = mid + 1 else hi = mid
+      s += 1
+    }
+    s
+  }
+
   /** Number of elements of the view strictly below `bound` — the paper's
     * "set bounding" primitive (§6.1): [[countAtMost]]`(bound − 1)`, so a
     * view that starts at or above `bound` costs nothing. No element lies
@@ -319,6 +334,22 @@ object SetOps {
     */
   def countBelow(a: Array[Int], off: Int, len: Int, bound: Int, wc: WorkCounter): Int =
     if (bound == Int.MinValue) 0 else countAtMost(a, off, len, bound - 1, wc)
+
+  /** The steps [[contains]] counts for an `x` with `rank` smaller elements
+    * in a view of `len`, `present` or not: its search, replayed on
+    * positions alone.
+    */
+  def containsSteps(len: Int, rank: Int, present: Boolean): Int = {
+    var lo = 0; var hi = len - 1; var s = 0
+    while (lo <= hi) {
+      val mid = (lo + hi) >>> 1
+      s += 1
+      if (present && mid == rank) return s
+      else if (mid < rank) lo = mid + 1
+      else hi = mid - 1
+    }
+    s
+  }
 
   /** Membership test via binary search over the view. */
   def contains(a: Array[Int], off: Int, len: Int, x: Int, wc: WorkCounter): Boolean = {

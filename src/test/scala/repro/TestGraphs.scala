@@ -65,6 +65,24 @@ object TestGraphs {
     "empty" -> empty,
   )
 
+  /** A hub of degree `d` and id `hub`, adjacent to every other vertex, whose
+    * neighbours share random edges (probability 0.15): under LGS its local
+    * graph has d vertices, `hub` of them below it.
+    */
+  def hubGraph(d: Int, hub: Int, seed: Long = 11): CSRGraph = {
+    val rnd = new scala.util.Random(seed)
+    val leaves = (0 to d).filter(_ != hub)
+    checked(CSRGraph.fromEdges(d + 1, leaves.map(v => (hub, v)) ++
+      (for { u <- leaves; v <- leaves if u < v && rnd.nextDouble() < 0.15 } yield (u, v))))
+  }
+
+  /** Hub fixtures whose LGS rows take one or two 64-bit words, with the
+    * hub's rank among its neighbours (its symmetry bound) on or beside a
+    * word edge (name, graph).
+    */
+  lazy val forWordEdges: Seq[(String, CSRGraph)] =
+    Seq((63, 63), (64, 32), (65, 64), (128, 64)).map { case (d, h) => s"hub-$d-at-$h" -> hubGraph(d, h) }
+
   def cycle(n: Int): CSRGraph = CSRGraph.fromEdges(n, (0 until n).map(i => (i, (i + 1) % n)))
   def completeGraph(n: Int): CSRGraph =
     CSRGraph.fromEdges(n, for { u <- 0 until n; v <- u + 1 until n } yield (u, v))

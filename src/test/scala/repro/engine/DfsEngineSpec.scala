@@ -10,7 +10,10 @@ import repro.setops.{SetOps, WorkCounter}
 /** The core correctness matrix: every pattern × every fixture × both
   * induced modes, DFS engine (all config variants) vs the pattern-oblivious
   * naive matcher. Runs locally (no Spark) — SparkDfsSpec covers the
-  * distributed path.
+  * distributed path — except the pinned-work tests, which check both.
+  * Their tables are printed by `sbt "Test/runMain repro.engine.RecordWork"`
+  * (see [[RecordWork]]), so a change of the work model re-records them by
+  * command.
   */
 class DfsEngineSpec extends AnyFunSuite {
 
@@ -214,14 +217,19 @@ class DfsEngineSpec extends AnyFunSuite {
       assert(a.setOpWork <= b.setOpWork)
     }
 
-  // ---- bitmap-probed merges ---------------------------------------------
+  // ---- pinned work ------------------------------------------------------
+  // The kernels below (bitmap-probed merges, counting leaves, bit-row local
+  // graphs) count the steps of the list merges they replace, so a run's
+  // counted fields are pinned to values recorded before each kernel went
+  // in. To re-record a table after an intended change of the work model:
+  //   sbt "Test/runMain repro.engine.RecordWork <table>"
+  // and paste its rows (see RecordWork).
+
   /** Metrics of the plans whose merges now probe a bitmap of a list that
     * stays fixed across the parent loop, recorded at commit dcf2add, where
     * every level still merged: the probed merges count the steps of the
     * merges they replace, so nothing may move.
     */
-  private final case class Recorded(count: Long, setOpWork: Long, levelNodes: Seq[Long],
-                                    bufferSavedWork: Long, perTaskWorkSum: Long)
   private val recordedAtDcf2add: Map[(String, String), Recorded] = Map(
     ("g2miner-4-cycle", "pl-mild") -> Recorded(635L, 15110L, Seq(100L, 300L, 814L, 635L), 0L, 15410L),
     ("g2miner-4-cycle", "pl-skew") -> Recorded(538L, 7182L, Seq(60L, 150L, 374L, 538L), 0L, 7332L),
@@ -254,46 +262,60 @@ class DfsEngineSpec extends AnyFunSuite {
     ("4-clique-lgs", "pl-skew") -> Recorded(35L, 827L, Seq(60L, 110L, 90L, 35L), 0L, 887L),
   )
 
-  /** The local and Spark runs of `p`'s plan agree with `NaiveMatcher` and
-    * with `r` in every counted field.
+  /** The local and Spark runs of the entry's plan agree with each other in
+    * every counted field and with `r`.
     */
-  private def assertRecorded(g: CSRGraph, p: Pattern, induced: Boolean, countingOnly: Boolean, cfg: DfsConfig,
-                             r: Recorded): Unit = {
-    val plan = Planner.plan(p, induced, countingOnly)
-    val local = DfsEngine.runLocal(g, plan, cfg)
-    val dist = DfsEngine.run(repro.SparkSpec.shared, g, plan, cfg)
-    assert(local.count == NaiveMatcher.countUnique(g, p, induced))
-    assert(local.count == r.count)
-    assert(local.setOpWork == r.setOpWork)
-    assert(local.levelNodes.toSeq == r.levelNodes)
-    assert(local.bufferSavedWork == r.bufferSavedWork)
-    assert(DfsEngine.perTaskWork(g, plan, cfg).sum == r.perTaskWorkSum)
-    assert(dist.count == local.count && dist.setOpWork == local.setOpWork && dist.tasks == local.tasks)
-    assert(dist.levelNodes.toSeq == local.levelNodes.toSeq && dist.bufferSavedWork == local.bufferSavedWork)
+  private def assertRecorded(e: WorkEntry, r: Recorded): Unit = {
+    val plan = Planner.plan(e.p, e.induced, e.countingOnly)
+    val local = DfsEngine.runLocal(e.g, plan, e.cfg)
+    val dist = DfsEngine.run(repro.SparkSpec.shared, e.g, plan, e.cfg)
+    val clue = e.key.mkString(" ")
+    assert(local.count == r.count, clue)
+    assert(local.setOpWork == r.setOpWork, clue)
+    assert(local.levelNodes.toSeq == r.levelNodes, clue)
+    assert(local.bufferSavedWork == r.bufferSavedWork, clue)
+    assert(local.tasks == r.tasks, clue)
+    assert(DfsEngine.perTaskWork(e.g, plan, e.cfg).sum == r.perTaskWorkSum, clue)
+    assert(dist.count == local.count && dist.setOpWork == local.setOpWork && dist.tasks == local.tasks, clue)
+    assert(dist.levelNodes.toSeq == local.levelNodes.toSeq && dist.bufferSavedWork == local.bufferSavedWork, clue)
   }
 
-  for {
-    (name, p, induced, countingOnly, cfg) <- Seq(
-      ("g2miner-4-cycle", Patterns.cycle4, false, false, DfsConfig(lgs = true)),
-      ("baseline-diamond", Patterns.diamond, false, false, DfsConfig(orientation = false)),
-      ("baseline-triangle", Patterns.triangle, false, false, DfsConfig(orientation = false)),
-      ("counting-diamond", Patterns.diamond, false, true, DfsConfig(countingOnly = true)),
-      ("induced-4-cycle", Patterns.cycle4, true, false, DfsConfig(lgs = true)),
-      ("induced-4-path", Patterns.path(4), true, false, DfsConfig(lgs = true)),
-      ("induced-3-star-lgs", Patterns.star(4), true, false, DfsConfig(lgs = true)))
-    (gName, g) <- Seq("pl-mild" -> TestGraphs.plMild, "pl-skew" -> TestGraphs.plSkew)
-  } test(s"probed merges keep the merged work recorded at dcf2add: $name on $gName") {
-    assertRecorded(g, p, induced, countingOnly, cfg, recordedAtDcf2add((name, gName)))
+  for (e <- WorkEntries.dcf2add) test(s"probed merges keep the merged work recorded at dcf2add: ${e.key(0)} on ${e.key(1)}") {
+    val r = recordedAtDcf2add((e.key(0), e.key(1)))
+    assert(r.count == NaiveMatcher.countUnique(e.g, e.p, e.induced))
+    assertRecorded(e, r)
   }
 
+  for (e <- WorkEntries.at5a4f501) test(s"counting leaves keep the work recorded at 5a4f501: ${e.key(0)} on ${e.key(1)}") {
+    val r = recordedAt5a4f501((e.key(0), e.key(1)))
+    assert(r.count == NaiveMatcher.countUnique(e.g, e.p, e.induced))
+    assertRecorded(e, r)
+  }
+
+  // Bit-row local graphs: every LGS plan of the 3-, 4- and 5-motifs counts
+  // the list merges' work recorded at a024cb4, one test per plan and config.
+  for (((name, cfgName), es) <- WorkEntries.lgsPlans.groupBy(e => (e.key(0), e.key(1))).toSeq.sortBy(_._1))
+    test(s"bit-row LGS keeps the list merges' work recorded at a024cb4: $name under $cfgName") {
+      for (e <- es) assertRecorded(e, RecordedAtA024cb4.lgs((e.key(0), e.key(1), e.key(2))))
+    }
+
+  // Rows of one and two words, with the hub's bound on and beside a word edge.
   for {
-    (name, p, induced, cfg) <- Seq(
-      ("induced-wedge", Patterns.wedge, true, DfsConfig()),
-      ("induced-tailed-triangle-lgs", Patterns.tailedTriangle, true, DfsConfig(lgs = true)),
-      ("4-clique-lgs", Patterns.clique(4), false, DfsConfig(lgs = true)))
-    (gName, g) <- Seq("pl-mild" -> TestGraphs.plMild, "pl-skew" -> TestGraphs.plSkew)
-  } test(s"counting leaves keep the work recorded at 5a4f501: $name on $gName") {
-    assertRecorded(g, p, induced, countingOnly = false, cfg, recordedAt5a4f501((name, gName)))
+    (gName, g) <- TestGraphs.forWordEdges
+    (pName, p, induced) <- Seq(("induced-3-star", Patterns.star(4), true),
+      ("induced-tailed-triangle", Patterns.tailedTriangle, true),
+      ("induced-diamond", Patterns.diamond, true), ("4-clique", Patterns.clique(4), false))
+  } test(s"bit-row LGS == local == naive across word edges: $pName on $gName") {
+    val plan = Planner.plan(p, induced)
+    val expected = NaiveMatcher.countUnique(g, p, induced)
+    for ((cfgName, cfg) <- WorkEntries.lgsConfigs) {
+      assert(WorkEntries.runsLgs(p, induced, cfg, g))
+      val local = DfsEngine.runLocal(g, plan, cfg)
+      val dist = DfsEngine.run(repro.SparkSpec.shared, g, plan, cfg)
+      assert(local.count == expected, cfgName)
+      assert(dist.count == local.count && dist.setOpWork == local.setOpWork && dist.tasks == local.tasks, cfgName)
+      assert(dist.levelNodes.toSeq == local.levelNodes.toSeq && dist.bufferSavedWork == local.bufferSavedWork, cfgName)
+    }
   }
 
   test("edgelist reduction halves tasks when a root condition exists") {

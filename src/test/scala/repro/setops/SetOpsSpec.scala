@@ -71,6 +71,28 @@ class SetOpsSpec extends AnyFunSuite {
     }
   }
 
+  test("atMostSteps replays the steps of countAtMost and countBelow from length and rank (300 random cases)") {
+    for (_ <- 1 to 300) {
+      val a = randomSortedSet(maxLen = 80)
+      val x = rnd.nextInt(320) - 10
+      val wcA = new WorkCounter; val wcB = new WorkCounter
+      val r = SetOps.countAtMost(a, 0, a.length, x, wcA)
+      assert(wcA.ops == SetOps.atMostSteps(a.length, r), s"a=${a.toSeq} lb=$x")
+      val below = SetOps.countBelow(a, 0, a.length, x, wcB)
+      assert(wcB.ops == SetOps.atMostSteps(a.length, below), s"a=${a.toSeq} bound=$x")
+    }
+  }
+
+  test("containsSteps replays the steps of contains from length, rank and presence (300 random cases)") {
+    for (_ <- 1 to 300) {
+      val a = randomSortedSet(maxLen = 80)
+      val x = if (a.nonEmpty && rnd.nextBoolean()) a(rnd.nextInt(a.length)) else rnd.nextInt(320) - 10
+      val wc = new WorkCounter
+      val in = SetOps.contains(a, 0, a.length, x, wc)
+      assert(wc.ops == SetOps.containsSteps(a.length, a.count(_ < x), in), s"a=${a.toSeq} x=$x")
+    }
+  }
+
   test("offset views are honored") {
     val a = Array(1, 3, 5, 7, 9, 11)
     val b = Array(0, 5, 7, 100)
