@@ -423,7 +423,6 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     */
   private def runLgsTask(v0: Int): Unit = {
     tasksRun += 1
-    if (g.deg(v0) < k - 1) return
     d = g.deg(v0); words = BitSetOps.words(d)
     java.util.Arrays.fill(rows, 0, d * words, 0L)
     g.foreachLocalList(v0, wc, rootBits, loc) { (u, l, len) =>

@@ -263,19 +263,37 @@ class DfsEngineSpec extends AnyFunSuite {
   )
 
   /** The local and Spark runs of the entry's plan agree with each other in
-    * every counted field and with `r`.
+    * every counted field and with `r`. Tables recorded before LGS tasks
+    * searched roots of degree below k − 1 pin the other roots' tasks: under
+    * LGS the run adds exactly the low roots' own tasks (run alone, each
+    * doing at least its local graph build) to `r`'s work, buffer savings
+    * and per-task work, and its `levelNodes` equal the edge-task run's.
     */
   private def assertRecorded(e: WorkEntry, r: Recorded): Unit = {
     val plan = Planner.plan(e.p, e.induced, e.countingOnly)
     val local = DfsEngine.runLocal(e.g, plan, e.cfg)
     val dist = DfsEngine.run(repro.SparkSpec.shared, e.g, plan, e.cfg)
     val clue = e.key.mkString(" ")
+    var (work, saved, levelNodes) = (r.setOpWork, r.bufferSavedWork, r.levelNodes)
+    if (WorkEntries.runsLgs(e.p, e.induced, e.cfg, e.g)) {
+      val orient = e.cfg.orientation && e.p.isClique && !e.induced
+      val graph = if (orient) e.g.oriented else e.g
+      val planX = if (orient) Planner.orientedCliquePlan(plan.k) else plan
+      val lowRoots = (0 until graph.n).filter(graph.deg(_) < plan.k - 1)
+      val low = new PlanExecutor(graph, planX, e.cfg, lgsMode = true)
+      lowRoots.foreach(low.runSlot)
+      val build = new WorkCounter
+      lowRoots.foreach(graph.localGraph(_, build))
+      assert(low.wc.ops >= build.ops, clue)
+      work += low.wc.ops; saved += low.savedWork
+      levelNodes = DfsEngine.runLocal(e.g, plan, e.cfg.copy(lgs = false)).levelNodes.toSeq
+    }
     assert(local.count == r.count, clue)
-    assert(local.setOpWork == r.setOpWork, clue)
-    assert(local.levelNodes.toSeq == r.levelNodes, clue)
-    assert(local.bufferSavedWork == r.bufferSavedWork, clue)
+    assert(local.setOpWork == work, clue)
+    assert(local.levelNodes.toSeq == levelNodes, clue)
+    assert(local.bufferSavedWork == saved, clue)
     assert(local.tasks == r.tasks, clue)
-    assert(DfsEngine.perTaskWork(e.g, plan, e.cfg).sum == r.perTaskWorkSum, clue)
+    assert(DfsEngine.perTaskWork(e.g, plan, e.cfg).sum == r.perTaskWorkSum + (work - r.setOpWork), clue)
     assert(dist.count == local.count && dist.setOpWork == local.setOpWork && dist.tasks == local.tasks, clue)
     assert(dist.levelNodes.toSeq == local.levelNodes.toSeq && dist.bufferSavedWork == local.bufferSavedWork, clue)
   }
