@@ -117,7 +117,7 @@ private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers
   *
   * LGS tasks hold the root's local graph as bit rows (opt F): one row of
   * ⌈d/64⌉ words per local vertex, filled from the intersections that
-  * [[CSRGraph.foreachLocalList]] probes and counts. Every level's set is
+  * [[CSRGraph.localList]] probes and counts. Every level's set is
   * computed in words ([[BitSetOps]]: AND for `conn`, AND-NOT for `anti`,
   * masks for the bounds), a loop visits its elements by trailing-zero
   * scans, and a leaf takes its size from a popcount. Each step adds, in
@@ -425,11 +425,13 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     tasksRun += 1
     d = g.deg(v0); words = BitSetOps.words(d)
     java.util.Arrays.fill(rows, 0, d * words, 0L)
-    g.foreachLocalList(v0, wc, rootBits, loc) { (u, l, len) =>
-      val base = u * words
+    var u = 0
+    while (u < d) {
+      val len = g.localList(v0, u, wc, rootBits, loc); val base = u * words
       var x = 0
-      while (x < len) { val v = l(x); rows(base + (v >>> 6)) |= 1L << v; x += 1 }
+      while (x < len) { val v = loc(x); rows(base + (v >>> 6)) |= 1L << v; x += 1 }
       rowLen(u) = len
+      u += 1
     }
     java.util.Arrays.fill(all, 0, words, -1L)
     if ((d & 63) != 0) all(words - 1) = ~(-1L << d)
@@ -475,14 +477,17 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
   }
 
   /** [[matchedInRange]] over the `n` elements of position i's set in
-    * [lo, hi), with each search's steps replayed from its rank.
+    * [lo, hi), with each search's steps replayed from its rank. A matched
+    * vertex outside [lo, hi) is outside the searched range.
     */
   private def matchedInSet(i: Int, lo: Int, hi: Int, n: Int): Int = {
     val js = levels(i).unmatched
-    if (n == 0 || js.length == 0) return 0
+    var x = 0
+    while (x < js.length && { val v = matched(js(x)); v < lo || v >= hi }) x += 1
+    if (n == 0 || x == js.length) return 0
     val arr = setArr(i); val off = setOff(i)
     val min = BitSetOps.lowest(arr, off, lo, hi); val max = BitSetOps.highest(arr, off, lo, hi)
-    var cnt = 0; var x = 0
+    var cnt = 0
     while (x < js.length) {
       val v = matched(js(x))
       if (v >= min && v <= max) {
@@ -510,13 +515,15 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       return
     }
     val arr = setArr(i); val off = setOff(i)
-    var lo = 0; var hi = d; var n = len
-    if (!lv.bounded) { // descend's cut: countAtMost(lb), then countBelow(ub) above it
-      lo = BitSetOps.from(maxKey(lv.lowers), d)
+    // the set's elements lie in [lo, hi): a bounded level's merges keep
+    // (lb, ub); any other level is cut as in descend, countAtMost(lb), then
+    // countBelow(ub) above it
+    var lo = BitSetOps.from(maxKey(lv.lowers), d); var hi = BitSetOps.until(minKey(lv.uppers), d); var n = len
+    if (!lv.bounded) {
       val r = BitSetOps.count(arr, off, 0, lo)
       wc.add(SetOps.atMostSteps(n, r)); n -= r
       if (lv.uppers.length > 0) {
-        hi = math.max(lo, BitSetOps.until(minKey(lv.uppers), d))
+        hi = math.max(lo, hi)
         val below = BitSetOps.count(arr, off, lo, hi)
         wc.add(SetOps.atMostSteps(n, below)); n = below
       }

@@ -103,14 +103,12 @@ final class CSRGraph(
   /** Local graph (optimization E, Fig. 7): the subgraph induced by N(root),
     * with vertices renamed 0..d-1 preserving id order (so symmetry bounds
     * survive renaming). Returns (localGraph, localId -> globalId) and adds
-    * the set-op work spent building it to `wc`, as [[foreachLocalList]].
+    * the set-op work spent building it to `wc`, as [[localList]].
     */
   def localGraph(root: Int, wc: WorkCounter, rootBits: ListBitmap = new ListBitmap(n)): (CSRGraph, Array[Int]) = {
     val d = deg(root)
-    val adjLists = new Array[Array[Int]](d)
-    foreachLocalList(root, wc, rootBits, new Array[Int](d)) { (li, loc, len) =>
-      adjLists(li) = java.util.Arrays.copyOf(loc, len)
-    }
+    val loc = new Array[Int](d)
+    val adjLists = Array.tabulate(d)(li => java.util.Arrays.copyOf(loc, localList(root, li, wc, rootBits, loc)))
     val off = new Array[Int](d + 1)
     var s = 0
     var li = 0
@@ -122,28 +120,21 @@ final class CSRGraph(
     (new CSRGraph(d, off, nb, Array.empty), java.util.Arrays.copyOfRange(nbrs, offsets(root), offsets(root + 1)))
   }
 
-  /** The local graph of `root` list by list: for each local vertex li in
-    * 0 until deg(root), the li-th neighbour of `root`, `f(li, loc, len)`
-    * receives its local neighbours, ascending, in loc(0 until len), a
-    * buffer of at least deg(root) ints that the next call overwrites.
-    * N(root) is marked in `rootBits` (capacity at least n) and each
-    * neighbour's list probes it; the work added to `wc` is the linear
-    * merges' step count.
+  /** The list of local vertex `li`, the li-th neighbour of `root`, in the
+    * local graph of `root`: its local neighbours, ascending, in
+    * loc(0 until len), a buffer of at least deg(root) ints. Returns len.
+    * N(root) is marked in `rootBits` (capacity at least n; free when it
+    * holds N(root) already) and the neighbour's list probes it; the work
+    * added to `wc` is the linear merge's step count.
     */
-  def foreachLocalList(root: Int, wc: WorkCounter, rootBits: ListBitmap, loc: Array[Int])
-                      (f: (Int, Array[Int], Int) => Unit): Unit = {
-    val s = offsets(root); val d = deg(root)
+  def localList(root: Int, li: Int, wc: WorkCounter, rootBits: ListBitmap, loc: Array[Int]): Int = {
+    val s = offsets(root); val d = deg(root); val g = nbrs(s + li)
     rootBits.mark(nbrs, s, d)
-    var li = 0
-    while (li < d) {
-      val g = nbrs(s + li)
-      val len = SetOps.intersectProbed(nbrs, s, d, nbrs, offsets(g), deg(g), rootBits, loc, wc)
-      // rename in place: a global id's local id is its position in N(root)
-      var i = 0; var from = s
-      while (i < len) { from = java.util.Arrays.binarySearch(nbrs, from, s + d, loc(i)); loc(i) = from - s; i += 1 }
-      f(li, loc, len)
-      li += 1
-    }
+    val len = SetOps.intersectProbed(nbrs, s, d, nbrs, offsets(g), deg(g), rootBits, loc, wc)
+    // rename in place: a global id's local id is its position in N(root)
+    var i = 0; var from = s
+    while (i < len) { from = java.util.Arrays.binarySearch(nbrs, from, s + d, loc(i)); loc(i) = from - s; i += 1 }
+    len
   }
 }
 

@@ -76,47 +76,55 @@ object BitSetOps {
   /** out = A ∩ B within (`lb`, `ub`), adding [[SetOps.intersect]]'s work on
     * the same lists: the trims of both, then, with A* = A′ below `ub`,
     * aL = max A* and bL = max B′, |A*| + #{B′ ≤ aL} if aL ≤ bL, else
-    * |B′| + #{A* ≤ bL}, and nothing more if A* or B′ is empty. `out` may be
-    * A. Returns |out|.
+    * |B′| + #{A* ≤ bL}, and nothing more if A* or B′ is empty. One pass
+    * over the words finds the set and every count the steps need, after
+    * two top-down scans for aL and bL. `out` may be A. Returns |out|.
     */
   def intersect(a: Array[Long], aOff: Int, aLen: Int, b: Array[Long], bOff: Int, bLen: Int,
                 out: Array[Long], oOff: Int, n: Int, wc: WorkCounter,
                 ub: Int = Int.MaxValue, lb: Int = Int.MinValue): Int = {
     val lo = from(lb, n); val hi = until(ub, n)
-    val aRank = count(a, aOff, 0, lo); val bRank = count(b, bOff, 0, lo)
-    var steps = SetOps.atMostSteps(aLen, aRank).toLong + SetOps.atMostSteps(bLen, bRank)
-    val aN = count(a, aOff, lo, hi); val bN = bLen - bRank
-    if (aN > 0 && bN > 0) {
-      val aL = highest(a, aOff, lo, hi); val bL = highest(b, bOff, lo, n)
-      steps += (if (aL <= bL) aN + count(b, bOff, lo, aL + 1) else bN + count(a, aOff, lo, bL + 1))
-    }
-    wc.add(steps)
-    var o = 0; var w = 0; val nw = words(n)
+    val aL = highest(a, aOff, lo, hi); val bL = highest(b, bOff, lo, n)
+    // the list whose prefix up to the other's last element the merge passes
+    val aLast = aL <= bL; val last = (if (aLast) aL else bL) + 1
+    var aBelow = 0; var bBelow = 0; var aN = 0; var passed = 0; var o = 0
+    var w = 0; val nw = words(n)
     while (w < nw) {
-      val x = a(aOff + w) & b(bOff + w) & mask(w, lo, hi)
-      out(oOff + w) = x; o += bitCount(x); w += 1
+      val x = a(aOff + w); val y = b(bOff + w)
+      val below = mask(w, 0, lo); val in = mask(w, lo, hi)
+      aBelow += bitCount(x & below); bBelow += bitCount(y & below); aN += bitCount(x & in)
+      passed += bitCount((if (aLast) y else x) & mask(w, lo, last))
+      val z = x & y & in
+      out(oOff + w) = z; o += bitCount(z); w += 1
     }
+    val bN = bLen - bBelow
+    wc.add(SetOps.atMostSteps(aLen, aBelow).toLong + SetOps.atMostSteps(bLen, bBelow) +
+      (if (aN == 0 || bN == 0) 0 else if (aLast) aN + passed else bN + passed))
     o
   }
 
   /** out = A − B within (`lb`, `ub`), adding [[SetOps.difference]]'s work
     * on the same lists: the trims of both, then |A*| + #{B′ < aL}, or
-    * nothing more if A* is empty. `out` may be A. Returns |out|.
+    * nothing more if A* is empty, counted in the pass that finds the set,
+    * after a top-down scan for aL. `out` may be A. Returns |out|.
     */
   def difference(a: Array[Long], aOff: Int, aLen: Int, b: Array[Long], bOff: Int, bLen: Int,
                  out: Array[Long], oOff: Int, n: Int, wc: WorkCounter,
                  ub: Int = Int.MaxValue, lb: Int = Int.MinValue): Int = {
     val lo = from(lb, n); val hi = until(ub, n)
-    val bRank = count(b, bOff, 0, lo)
-    var steps = SetOps.atMostSteps(aLen, count(a, aOff, 0, lo)).toLong + SetOps.atMostSteps(bLen, bRank)
-    val aN = count(a, aOff, lo, hi)
-    if (aN > 0) steps += aN + count(b, bOff, lo, highest(a, aOff, lo, hi))
-    wc.add(steps)
-    var o = 0; var w = 0; val nw = words(n)
+    val aL = highest(a, aOff, lo, hi)
+    var aBelow = 0; var bBelow = 0; var aN = 0; var passed = 0; var o = 0
+    var w = 0; val nw = words(n)
     while (w < nw) {
-      val x = a(aOff + w) & ~b(bOff + w) & mask(w, lo, hi)
-      out(oOff + w) = x; o += bitCount(x); w += 1
+      val x = a(aOff + w); val y = b(bOff + w)
+      val below = mask(w, 0, lo); val in = mask(w, lo, hi)
+      aBelow += bitCount(x & below); bBelow += bitCount(y & below); aN += bitCount(x & in)
+      passed += bitCount(y & mask(w, lo, aL))
+      val z = x & ~y & in
+      out(oOff + w) = z; o += bitCount(z); w += 1
     }
+    wc.add(SetOps.atMostSteps(aLen, aBelow).toLong + SetOps.atMostSteps(bLen, bBelow) +
+      (if (aN == 0) 0 else aN + passed))
     o
   }
 }

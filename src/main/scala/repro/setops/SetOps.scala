@@ -314,9 +314,17 @@ object SetOps {
 
   /** The steps [[countAtMost]] counts on a view of `len` elements of which
     * `rank` lie at or below the bound: its binary search, replayed on
-    * positions alone. [[countBelow]] counts `rank` = #{elements < bound}.
+    * positions alone (looked up for views shorter than 256).
+    * [[countBelow]] counts `rank` = #{elements < bound}.
     */
-  def atMostSteps(len: Int, rank: Int): Int = {
+  def atMostSteps(len: Int, rank: Int): Int =
+    if (len < ShortView) atMostShort(len << 8 | rank) else replayAtMost(len, rank)
+
+  // Views shorter than this take their replayed search steps from tables
+  // of every (length, rank): 64 KiB for countAtMost, 128 KiB for contains.
+  private final val ShortView = 256
+
+  private def replayAtMost(len: Int, rank: Int): Int = {
     if (len == 0 || rank == 0) return 0
     var lo = 1; var hi = len; var s = 0
     while (lo < hi) {
@@ -326,6 +334,9 @@ object SetOps {
     }
     s
   }
+
+  private val atMostShort: Array[Byte] =
+    Array.tabulate(ShortView * ShortView)(x => replayAtMost(x >>> 8, math.min(x & 255, x >>> 8)).toByte)
 
   /** Number of elements of the view strictly below `bound` — the paper's
     * "set bounding" primitive (§6.1): [[countAtMost]]`(bound − 1)`, so a
@@ -337,9 +348,13 @@ object SetOps {
 
   /** The steps [[contains]] counts for an `x` with `rank` smaller elements
     * in a view of `len`, `present` or not: its search, replayed on
-    * positions alone.
+    * positions alone (looked up for views shorter than 256).
     */
-  def containsSteps(len: Int, rank: Int, present: Boolean): Int = {
+  def containsSteps(len: Int, rank: Int, present: Boolean): Int =
+    if (len < ShortView) containsShort(len << 9 | rank << 1 | (if (present) 1 else 0))
+    else replayContains(len, rank, present)
+
+  private def replayContains(len: Int, rank: Int, present: Boolean): Int = {
     var lo = 0; var hi = len - 1; var s = 0
     while (lo <= hi) {
       val mid = (lo + hi) >>> 1
@@ -349,6 +364,11 @@ object SetOps {
       else hi = mid - 1
     }
     s
+  }
+
+  private val containsShort: Array[Byte] = Array.tabulate(2 * ShortView * ShortView) { x =>
+    val len = x >>> 9
+    replayContains(len, math.min((x >>> 1) & 255, len), (x & 1) == 1).toByte
   }
 
   /** Membership test via binary search over the view. */

@@ -71,10 +71,13 @@ class SetOpsSpec extends AnyFunSuite {
     }
   }
 
+  // views shorter and longer than the 256 the step helpers tabulate
+  private def shortOrLongSet(): Array[Int] = randomSortedSet(maxLen = if (rnd.nextBoolean()) 80 else 900, maxVal = 2000)
+
   test("atMostSteps replays the steps of countAtMost and countBelow from length and rank (300 random cases)") {
     for (_ <- 1 to 300) {
-      val a = randomSortedSet(maxLen = 80)
-      val x = rnd.nextInt(320) - 10
+      val a = shortOrLongSet()
+      val x = rnd.nextInt(2020) - 10
       val wcA = new WorkCounter; val wcB = new WorkCounter
       val r = SetOps.countAtMost(a, 0, a.length, x, wcA)
       assert(wcA.ops == SetOps.atMostSteps(a.length, r), s"a=${a.toSeq} lb=$x")
@@ -85,8 +88,8 @@ class SetOpsSpec extends AnyFunSuite {
 
   test("containsSteps replays the steps of contains from length, rank and presence (300 random cases)") {
     for (_ <- 1 to 300) {
-      val a = randomSortedSet(maxLen = 80)
-      val x = if (a.nonEmpty && rnd.nextBoolean()) a(rnd.nextInt(a.length)) else rnd.nextInt(320) - 10
+      val a = shortOrLongSet()
+      val x = if (a.nonEmpty && rnd.nextBoolean()) a(rnd.nextInt(a.length)) else rnd.nextInt(2020) - 10
       val wc = new WorkCounter
       val in = SetOps.contains(a, 0, a.length, x, wc)
       assert(wc.ops == SetOps.containsSteps(a.length, a.count(_ < x), in), s"a=${a.toSeq} x=$x")
