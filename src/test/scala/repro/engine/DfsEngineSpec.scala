@@ -275,10 +275,8 @@ class DfsEngineSpec extends AnyFunSuite {
     val dist = DfsEngine.run(repro.SparkSpec.shared, e.g, plan, e.cfg)
     val clue = e.key.mkString(" ")
     var (work, saved, levelNodes) = (r.setOpWork, r.bufferSavedWork, r.levelNodes)
-    if (WorkEntries.runsLgs(e.p, e.induced, e.cfg, e.g)) {
-      val orient = e.cfg.orientation && e.p.isClique && !e.induced
-      val graph = if (orient) e.g.oriented else e.g
-      val planX = if (orient) Planner.orientedCliquePlan(plan.k) else plan
+    val (graph, planX, lgs) = WorkEntries.prepared(e.g, plan, e.cfg)
+    if (lgs) {
       val lowRoots = (0 until graph.n).filter(graph.deg(_) < plan.k - 1)
       val low = new PlanExecutor(graph, planX, e.cfg, lgsMode = true)
       lowRoots.foreach(low.runSlot)
@@ -371,10 +369,7 @@ class DfsEngineSpec extends AnyFunSuite {
     * search `DfsEngine` prepares, in order, and keeps each task's work + 1.
     */
   private def sequentialTaskWork(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig): Seq[Long] = {
-    val orient = cfg.orientation && plan.pattern.isClique && !plan.induced
-    val graph = if (orient) g.oriented else g
-    val planX = if (orient) Planner.orientedCliquePlan(plan.k) else plan
-    val lgs = cfg.lgs && planX.hubRooted && graph.maxDegree <= DfsEngine.LgsMaxDegree && planX.k >= 3
+    val (graph, planX, lgs) = WorkEntries.prepared(g, plan, cfg)
     val ex = new PlanExecutor(graph, planX, cfg, lgs)
     (0 until (if (lgs) graph.n else graph.numArcs)).flatMap { s =>
       val (tasks, ops) = (ex.tasksRun, ex.wc.ops)

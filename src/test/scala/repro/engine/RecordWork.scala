@@ -3,7 +3,7 @@ package repro.engine
 import repro.TestGraphs
 import repro.graph.CSRGraph
 import repro.pattern.{Pattern, PatternNames, Patterns}
-import repro.plan.Planner
+import repro.plan.{Planner, SearchPlan}
 
 /** The counted fields of one run that `DfsEngineSpec` pins: `tasks` is
   * `perTaskWorkSum − setOpWork`, since each task adds its launch floor of
@@ -72,14 +72,20 @@ object WorkEntries {
     if (n != p.canonicalCode) n else s"${p.n}-motif-${Patterns.motifs(p.n).indexWhere(_.canonicalCode == n)}"
   }
 
-  /** Whether `cfg` runs `p`'s plan as LGS tasks: the plan `DfsEngine`
-    * prepares (the oriented clique plan under orientation) is hub-rooted.
+  /** The search `DfsEngine` prepares for `plan` under `cfg`: its graph and
+    * plan (oriented for a clique under orientation) and whether its tasks
+    * are LGS tasks.
     */
-  def runsLgs(p: Pattern, induced: Boolean, cfg: DfsConfig, g: CSRGraph): Boolean = {
-    val orient = cfg.orientation && p.isClique && !induced
-    val plan = if (orient) Planner.orientedCliquePlan(p.n) else Planner.plan(p, induced)
-    cfg.lgs && plan.hubRooted && (if (orient) g.oriented else g).maxDegree <= DfsEngine.LgsMaxDegree
+  def prepared(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig): (CSRGraph, SearchPlan, Boolean) = {
+    val orient = cfg.orientation && plan.pattern.isClique && !plan.induced
+    val graph = if (orient) g.oriented else g
+    val planX = if (orient) Planner.orientedCliquePlan(plan.k) else plan
+    (graph, planX, cfg.lgs && planX.hubRooted && graph.maxDegree <= DfsEngine.LgsMaxDegree && planX.k >= 3)
   }
+
+  /** Whether `cfg` runs `p`'s plan as LGS tasks on `g`. */
+  def runsLgs(p: Pattern, induced: Boolean, cfg: DfsConfig, g: CSRGraph): Boolean =
+    prepared(g, Planner.plan(p, induced), cfg)._3
 
   /** Every plan of the 3-, 4- and 5-vertex motifs (induced and not) that
     * runs as LGS tasks under either LGS config, on every matching fixture.
