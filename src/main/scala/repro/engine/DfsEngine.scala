@@ -115,6 +115,17 @@ private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers
   * conn(0) is the edge task's owner), the count scans N(anti(0)) and
   * probes N(conn(0))'s bitmap.
   *
+  * A counting last level bounded below by the owner alone, whose lists
+  * are all the owner's or those of the owner's neighbours, counts over
+  * owner rows instead (opt F's format in edge tasks; the non-induced and
+  * induced 4-cycle): the executor holds the lists of the owner's
+  * neighbours as bit rows over the vertex ids above the owner, built on
+  * first use and kept for all of the owner's arcs in the stripe, and counts
+  * each merge by one pass over the words above the owner, adding the list
+  * merges' steps in closed form. Only where the rows fit
+  * ([[DfsEngine.ownerRowsFit]]); every other level, and every level on
+  * other inputs, merges lists.
+  *
   * LGS tasks hold the root's local graph as bit rows (opt F): one row of
   * ⌈d/64⌉ words per local vertex, filled from the intersections that
   * [[CSRGraph.localList]] probes and counts. Every level's set is
@@ -132,7 +143,11 @@ private final class Level(val conn: Array[Int], val anti: Array[Int], val uppers
   * maxDegree (2 MiB at [[DfsEngine.LgsMaxDegree]]), k + 1 sets of ⌈Δ/64⌉
   * longs, Δ ints of row lengths and Δ of list buffer, and an n-bit bitmap
   * of the root's list. A task's rows stay until the next task overwrites
-  * them; nothing grows with the task count.
+  * them; nothing grows with the task count. An edge-task executor whose
+  * last level counts over owner rows adds (Δ + 1)·⌈n/64⌉ longs of rows
+  * (at most 2 MiB, the LGS budget), 4(Δ + 1) ints of row stamps, lengths,
+  * trim steps and last elements, n ints mapping the owner's neighbours to
+  * their rows and, for a leaf of more than one merge, ⌈n/64⌉ longs of set.
   *
   * @param lgsMode every task is a local graph search (opt E): a vertex task
   *                that searches the root's induced neighborhood. Otherwise
@@ -151,6 +166,10 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
   // it, sits in matched(0), and its lower key, one less, in matched(k).
   private val matched = new Array[Int](k + 1)
 
+  // The position of an edge task's owner: v0, unless the root condition
+  // puts the owner, the arc's lower end, at v1.
+  private val ownerPos = if (lgsMode) -1 else if (plan.rootEdgeCond.contains(false)) 1 else 0
+
   private val levels: Array[Level] = {
     val root = if (lgsMode) 0 else -1
     // An edge task matches position 1 without computing its set, so no
@@ -159,9 +178,6 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       case Some(j) if !cfg.wholeListScans && (lgsMode || j >= 2) => j
       case _ => -1
     }
-    // The position of an edge task's owner: v0, unless the root condition
-    // puts the owner, the arc's lower end, at v1.
-    val owner = if (lgsMode) -1 else if (plan.rootEdgeCond.contains(false)) 1 else 0
     null +: Array.tabulate(k - 1) { li =>
       val i = li + 1; val spec = plan.levels(li)
       val extend = !cfg.wholeListScans && plan.extendsParent(li)
@@ -174,7 +190,7 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
       val merges = (if (extend) conn.length else math.max(conn.length, 1) - 1) + anti.length
       // lists fixed across the parent loop, for edge tasks; the lower of
       // two stable positions is re-marked less often
-      def stable(p: Int) = !lgsMode && !extend && ((i >= 3 && p <= i - 2) || p == owner)
+      def stable(p: Int) = !lgsMode && !extend && ((i >= 3 && p <= i - 2) || p == ownerPos)
       val antiProbe = anti.map(stable)
       new Level(conn, anti, spec.uppers.toArray,
         spec.lowers.map(j => if (j == root) k else j).toArray,
@@ -216,6 +232,43 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
   private val loc = new Array[Int](if (lgsMode) cap else 0)
   private var d = 0     // local vertices of the current LGS task
   private var words = 0 // ⌈d/64⌉
+
+  /** The last level counts over owner rows: it is bounded by its merges,
+    * its one bound is the owner from below, it neither extends nor reuses a
+    * set, and the only matched vertex its injectivity check may read is the
+    * owner, so it always only counts; it reads the list of some position
+    * ≥ 2, and every list it merges is the owner's or that of a position
+    * adjacent to the owner, a neighbour of the owner in every embedding.
+    * Only on inputs where the rows fit ([[DfsEngine.ownerRowsFit]]).
+    */
+  private[engine] val rowLeaf: Boolean = !lgsMode && k >= 4 && fuseAt < 0 && {
+    val lv = levels(k - 1); val lists = lv.conn ++ lv.anti
+    lv.bounded && !lv.extend && lv.reuse < 0 && lv.uppers.isEmpty && lv.lowers.sameElements(Seq(ownerPos)) &&
+      lv.unmatched.forall(_ == ownerPos) &&
+      lists.exists(_ >= 2) && lists.forall(p => p == ownerPos || plan.searchOrder.posPattern.isEdge(p, ownerPos))
+  } && DfsEngine.ownerRowsFit(g)
+
+  // Owner rows (opt F's format for edge tasks): row x of `orows`, at
+  // x × nWords, holds the list of the owner's x-th neighbour over the
+  // vertex ids, and row `cap` the owner's own. A row is built on first use
+  // and stamped with its owner; only its elements above the owner are set,
+  // in the words from the owner's id + 1 to its last element, the only
+  // words a pass reads. It records its list's length above the owner, the
+  // steps of the trim to the owner and its last element above the owner
+  // (or −1). `rowOf` maps the owner's neighbours to their rows; `leafSet`
+  // holds a leaf's set between its merges.
+  private val nWords = if (rowLeaf) BitSetOps.words(g.n) else 0
+  private val orows = new Array[Long](if (rowLeaf) (cap + 1) * nWords else 0)
+  private val rowStamp = Array.fill(if (rowLeaf) cap + 1 else 0)(-1)
+  private val rowAboveOwner = new Array[Int](if (rowLeaf) cap + 1 else 0)
+  private val rowTrim = new Array[Int](if (rowLeaf) cap + 1 else 0)
+  private val rowLastOf = new Array[Int](if (rowLeaf) cap + 1 else 0)
+  private val rowOf = new Array[Int](if (rowLeaf) g.n else 0)
+  private var rowOwner = -1 // the owner rowOf indexes
+  private val rowLists = if (rowLeaf) levels(k - 1).conn ++ levels(k - 1).anti else null
+  private val leafSet = new Array[Long](if (rowLeaf && rowLists.length > 2) nWords else 0)
+  private var rowAbove = 0 // of the row ownerRow last returned: its elements above the owner
+  private var rowLast = 0  // and the last of them, or −1
 
   @inline private def nbrA: Array[Int] = g.nbrs
   @inline private def nOff(v: Int): Int = g.offsets(v)
@@ -302,6 +355,65 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     len
   }
 
+  /** The size of the last level's set, computed over owner rows, adding the
+    * work [[computeCands]] counts for it: the merges run in the same order
+    * (`conn`, then `anti`), each list's trim to the owner comes from its
+    * row's recorded rank, and each merge's steps from one pass over the
+    * words between the owner and the last element it reaches
+    * ([[BitSetOps.intersectFrom]], [[BitSetOps.differenceFrom]]). A set
+    * kept between merges lies above the owner, so its own trims cost
+    * nothing, as in the list merges.
+    */
+  private def countOnRows(lv: Level): Int = {
+    val o = matched(ownerPos)
+    if (o != rowOwner) {
+      var x = 0; val off = nOff(o)
+      while (x < nLen(o)) { rowOf(nbrA(off + x)) = x; x += 1 }
+      rowOwner = o
+    }
+    val lo = o + 1; val nc = lv.conn.length; val last = rowLists.length - 1
+    var a = orows; var aOff = ownerRow(rowLists(0)); var aN = rowAbove; var aL = rowLast
+    var x = 1
+    while (x <= last) {
+      val bOff = ownerRow(rowLists(x))
+      val out = if (x == last) null else leafSet
+      aN =
+        if (x < nc) BitSetOps.intersectFrom(a, aOff, aN, aL, orows, bOff, rowAbove, rowLast, lo, out, wc)
+        else BitSetOps.differenceFrom(a, aOff, aN, aL, orows, bOff, rowLast, lo, out, wc)
+      if (out != null && aN > 0) {
+        // the set's last element: its highest bit, in the words written,
+        // which end with the last element the merge reached
+        var w = (if (x < nc) math.min(aL, rowLast) else aL) >>> 6
+        while (out(w) == 0) w -= 1
+        a = out; aOff = 0; aL = (w << 6) + 63 - java.lang.Long.numberOfLeadingZeros(out(w))
+      }
+      x += 1
+    }
+    aN
+  }
+
+  /** The offset of position p's row in `orows`, built if it is stale, with
+    * its list's trim to the owner added to the work; sets `rowAbove` and
+    * `rowLast`.
+    */
+  private def ownerRow(p: Int): Int = {
+    val v = matched(p); val o = rowOwner
+    val x = if (p == ownerPos) cap else rowOf(v)
+    val base = x * nWords
+    if (rowStamp(x) != o) {
+      val off = nOff(v); val len = nLen(v)
+      val r = java.util.Arrays.binarySearch(nbrA, off, off + len, o)
+      val rank = (if (r >= 0) r + 1 else -r - 1) - off // elements at or below the owner
+      val last = if (rank < len) nbrA(off + len - 1) else -1
+      if (last >= 0) java.util.Arrays.fill(orows, base + ((o + 1) >>> 6), base + (last >>> 6) + 1, 0L)
+      var i = off + rank
+      while (i < off + len) { val u = nbrA(i); orows(base + (u >>> 6)) |= 1L << u; i += 1 }
+      rowStamp(x) = o; rowAboveOwner(x) = len - rank; rowTrim(x) = SetOps.atMostSteps(len, rank); rowLastOf(x) = last
+    }
+    wc.add(rowTrim(x)); rowAbove = rowAboveOwner(x); rowLast = rowLastOf(x)
+    base
+  }
+
   /** Whether a matched vertex that level `lv`'s injectivity check reads
     * lies inside the level's bounds, where its set may hold it.
     */
@@ -341,7 +453,7 @@ final class PlanExecutor(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig, lgsMode:
     // A bounded leaf that holds no matched vertex is only counted; one that
     // may hold one is built, so that matchedInRange can search it.
     if (i == k - 1 && lv.bounded && !matchedInBounds(lv)) {
-      val c = computeCands(i, countLast = true)
+      val c = if (rowLeaf) countOnRows(lv) else computeCands(i, countLast = true)
       count += c
       lvl(i) += c
       return
@@ -576,9 +688,27 @@ object DfsEngine {
     * holds its root's induced neighbourhood as bit rows, and each executor
     * sizes one row buffer for the largest root: Δ·⌈Δ/64⌉ words, 2 MiB at
     * Δ = 4096. The Tw2, Tw4 and Uk analogs exceed it (Δ ≈ 5.9 K–13.8 K);
-    * no oriented analog does.
+    * no oriented analog does. The same 2 MiB bounds an edge-task
+    * executor's owner rows ([[ownerRowsFit]]).
     */
   val LgsMaxDegree = 4096
+
+  /** The row budget LGS and owner rows share, in words. */
+  private val RowBudget = LgsMaxDegree.toLong * BitSetOps.words(LgsMaxDegree)
+
+  /** Whether edge tasks may count their leaves over owner rows on `g`
+    * (see [[PlanExecutor]]): Δ + 1 rows of ⌈n/64⌉ words fit the LGS row
+    * budget, and a row pass is no longer than the mean neighbour list a
+    * merge scans, ⌈n/64⌉ ≤ Σd²/Σd. Of the seed-0 analogs Or, Lj and Lj/2
+    * pass; Tw2, Tw4, Uk and Fr exceed the budget, and Fr's rows are also
+    * longer than its mean list (344 words against 48.3).
+    */
+  private[engine] def ownerRowsFit(g: CSRGraph): Boolean = {
+    val words = BitSetOps.words(g.n).toLong
+    var sq = 0L; var v = 0
+    while (v < g.n) { val d = g.deg(v).toLong; sq += d * d; v += 1 }
+    (g.maxDegree + 1L) * words <= RowBudget && words * g.numArcs <= sq
+  }
 
   /** Orientation rewrites clique plans onto the DAG (opt A); LGS switches
     * hub patterns to vertex-rooted local search (opt E), one slot per
@@ -588,6 +718,7 @@ object DfsEngine {
     * it takes every DAG arc.
     */
   private def prepare(g: CSRGraph, plan: SearchPlan, cfg: DfsConfig): Prepared = {
+    require(plan.k >= 2, s"pattern size ${plan.k}: the engine's tasks are edges, so a pattern needs at least 2 vertices")
     val orient = cfg.orientation && plan.pattern.isClique && !plan.induced
     val graph = if (orient) g.oriented else g
     val planX = if (orient) Planner.orientedCliquePlan(plan.k) else plan

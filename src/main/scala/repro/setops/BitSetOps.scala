@@ -15,6 +15,12 @@ import java.lang.Long.{bitCount, numberOfLeadingZeros, numberOfTrailingZeros}
   * steps are those [[SetOps.intersectProbed]] and [[SetOps.differenceProbed]]
   * document. The work a set reports therefore does not depend on its
   * format. Ranges are half-open bit ranges [from, to).
+  *
+  * [[intersectFrom]] and [[differenceFrom]] serve rows of neighbour lists
+  * over vertex ids, whose universe is far larger than the sets, each kept
+  * only from the lower bound to its last element: the caller counts the
+  * trims from ranks it recorded, and each pass reads only the words
+  * between the bound and the last element the merge reaches.
   */
 object BitSetOps {
 
@@ -125,6 +131,65 @@ object BitSetOps {
     }
     wc.add(SetOps.atMostSteps(aLen, aBelow).toLong + SetOps.atMostSteps(bLen, bBelow) +
       (if (aN == 0) 0 else aN + passed))
+    o
+  }
+
+  /** |A′ ∩ B′| for sets A′, B′ of elements at or above `lo` (lists cut by a
+    * lower bound `lo` − 1 whose trims the caller counts), with `aN`, `bN`
+    * elements and last elements `aL`, `bL`. Adds the merge steps of
+    * [[intersect]], |A′| + #{B′ ≤ aL} if aL ≤ bL, else |B′| + #{A′ ≤ bL},
+    * or nothing if A′ or B′ is empty, in one pass over the words of
+    * [lo, min(aL, bL)], the only words it reads. Writes those words of
+    * A′ ∩ B′ to `out` unless it is null. Returns the size.
+    */
+  def intersectFrom(a: Array[Long], aOff: Int, aN: Int, aL: Int, b: Array[Long], bOff: Int, bN: Int, bL: Int,
+                    lo: Int, out: Array[Long], wc: WorkCounter): Int = {
+    if (aN == 0 || bN == 0) return 0
+    // the merge passes B′ up to aL if aL ≤ bL, else A′ up to bL
+    val aLast = aL <= bL; val last = if (aLast) aL else bL
+    val fw = lo >>> 6; val lw = last >>> 6
+    // masks of the first and the last word, which may be the same word
+    val mL = -1L >>> (63 - (last & 63)); val mF = if (fw == lw) (-1L << lo) & mL else -1L << lo
+    var x = a(aOff + fw) & mF; var y = b(bOff + fw) & mF
+    var o = bitCount(x & y); var passed = bitCount(if (aLast) y else x)
+    if (out != null) out(fw) = x & y
+    if (lw > fw) {
+      var w = fw + 1
+      if (out != null) while (w < lw) {
+        x = a(aOff + w); y = b(bOff + w)
+        out(w) = x & y; o += bitCount(x & y); passed += bitCount(if (aLast) y else x); w += 1
+      }
+      else if (aLast) while (w < lw) { y = b(bOff + w); o += bitCount(a(aOff + w) & y); passed += bitCount(y); w += 1 }
+      else while (w < lw) { x = a(aOff + w); o += bitCount(x & b(bOff + w)); passed += bitCount(x); w += 1 }
+      x = a(aOff + lw) & mL; y = b(bOff + lw) & mL
+      o += bitCount(x & y); passed += bitCount(if (aLast) y else x)
+      if (out != null) out(lw) = x & y
+    }
+    wc.add((if (aLast) aN else bN).toLong + passed)
+    o
+  }
+
+  /** |A′ − B′| for A′, B′ as in [[intersectFrom]], B′'s last element `bL`
+    * or −1 if it is empty. Adds the merge steps of [[difference]],
+    * |A′| + #{B′ < aL}, or nothing if A′ is empty, in one pass over the
+    * words of [lo, aL], reading B's only up to bL. Writes those words of
+    * A′ − B′ to `out` unless it is null. Returns the size.
+    */
+  def differenceFrom(a: Array[Long], aOff: Int, aN: Int, aL: Int, b: Array[Long], bOff: Int, bL: Int,
+                     lo: Int, out: Array[Long], wc: WorkCounter): Int = {
+    if (aN == 0) return 0
+    val fw = lo >>> 6; val lw = aL >>> 6; val bw = if (bL < 0) -1 else bL >>> 6
+    var o = 0; var passed = 0; var w = fw
+    while (w <= lw) {
+      val m = (if (w == fw) -1L << lo else -1L) & (if (w == lw) -1L >>> (63 - (aL & 63)) else -1L)
+      val x = a(aOff + w) & m; val y = if (w <= bw) b(bOff + w) & m else 0L
+      o += bitCount(x & ~y); passed += bitCount(y)
+      if (out != null) out(w) = x & ~y
+      w += 1
+    }
+    // aL is in A′: B′ ∋ aL is not below it
+    if (aL <= bL) passed -= ((b(bOff + lw) >>> aL) & 1L).toInt
+    wc.add(aN.toLong + passed)
     o
   }
 }

@@ -4,7 +4,7 @@ import org.apache.spark.SparkException
 import repro.TestGraphs
 import repro.engine.{DfsConfig, DfsEngine}
 import repro.graph.CSRGraph
-import repro.pattern.Patterns
+import repro.pattern.{Pattern, Patterns}
 import repro.plan.Planner
 
 class DfsEngineFailureSpec extends FaultInjection {
@@ -30,6 +30,28 @@ class DfsEngineFailureSpec extends FaultInjection {
   test("DfsEngine.perTaskWork throws, returning no partial array, when a stripe throws") {
     intercept[ArrayIndexOutOfBoundsException] {
       DfsEngine.perTaskWork(bad, diamond, DfsConfig(orientation = false))
+    }
+  }
+
+  test("a 1-vertex pattern is rejected by run, runLocal and perTaskWork, naming its size, before any broadcast") {
+    val single = Planner.plan(Pattern(1, Vector(0)), induced = false)
+    val g = TestGraphs.plMild
+    def rejects(body: => Any): Unit = {
+      val e = intercept[IllegalArgumentException](body)
+      assert(e.getMessage.contains("pattern size 1"), e.getMessage)
+    }
+    assertReleasesOnFailure[IllegalArgumentException](DfsEngine.run(spark, g, single))
+    rejects(DfsEngine.run(spark, g, single))
+    rejects(DfsEngine.runLocal(g, single))
+    rejects(DfsEngine.perTaskWork(g, single))
+  }
+
+  test("the 2-vertex edge pattern still counts every edge") {
+    val edge = Planner.plan(Patterns.fromEdges(2, Seq((0, 1))), induced = false)
+    for (g <- Seq(TestGraphs.plMild, TestGraphs.k7)) {
+      assert(DfsEngine.runLocal(g, edge).count == g.numEdges)
+      assert(DfsEngine.run(spark, g, edge).count == g.numEdges)
+      assert(DfsEngine.perTaskWork(g, edge).length == g.numEdges)
     }
   }
 }

@@ -64,12 +64,16 @@ object WorkEntries {
   val lgsConfigs: Seq[(String, DfsConfig)] =
     Seq("lgs" -> DfsConfig(lgs = true), "lgs-no-orient" -> DfsConfig(lgs = true, orientation = false))
 
+  // canonical codes of the motifs of each size: generating them is a search over every graph of that size
+  private val motifCodes = scala.collection.concurrent.TrieMap.empty[Int, Vector[String]]
+
   /** Motif `p`'s name in a row key: its common name, or its index among
     * [[Patterns.motifs]] of its size.
     */
   def motifName(p: Pattern): String = {
     val n = PatternNames.nameOf(p)
-    if (n != p.canonicalCode) n else s"${p.n}-motif-${Patterns.motifs(p.n).indexWhere(_.canonicalCode == n)}"
+    if (n != p.canonicalCode) n
+    else s"${p.n}-motif-${motifCodes.getOrElseUpdate(p.n, Patterns.motifs(p.n).map(_.canonicalCode)).indexOf(n)}"
   }
 
   /** The search `DfsEngine` prepares for `plan` under `cfg`: its graph and

@@ -23,6 +23,20 @@ class BitSetOpsSpec extends AnyFunSuite {
     a
   }
 
+  /** `xs` ∩ [lo, n) as an owner row holds it, after `pad` words: only the
+    * words from lo's to the last element's are kept; every other bit,
+    * those below lo included, is garbage that a pass must not read.
+    */
+  private def rowFrom(xs: Array[Int], n: Int, pad: Int, lo: Int): Array[Long] = {
+    val a = Array.fill(pad + BitSetOps.words(n))(-1L)
+    xs.filter(_ >= lo).lastOption.foreach { last =>
+      java.util.Arrays.fill(a, pad + (lo >>> 6), pad + (last >>> 6) + 1, 0L)
+      a(pad + (lo >>> 6)) = ~(-1L << lo)
+      xs.filter(_ >= lo).foreach(v => a(pad + (v >>> 6)) |= 1L << v)
+    }
+    a
+  }
+
   private def elems(a: Array[Long], off: Int, n: Int): Seq[Int] = (0 until n).filter(BitSetOps.has(a, off, _))
 
   private def randomBound(n: Int): Int = rnd.nextInt(6) match {
@@ -83,5 +97,39 @@ class BitSetOpsSpec extends AnyFunSuite {
     val wcD = new WorkCounter
     assert(BitSetOps.difference(a, 0, 6, b, 0, 4, out, 0, 40, wcD) == 4)
     assert(elems(out, 0, 40) == Seq(3, 8, 21, 34) && wcD.ops == 6 + 4) // all of A; B below 34
+  }
+
+  for (difference <- Seq(false, true)) {
+    val op = if (difference) "differenceFrom" else "intersectFrom"
+    test(s"$op adds the lower-bounded list merge's steps less its trims, reading only rows' words from the bound to their last element (400 random cases, with and without a set)") {
+      for (_ <- 1 to 400) {
+        val n = sizes(rnd.nextInt(sizes.length))
+        val xs = randomSet(n); val ys = randomSet(n)
+        val lb = if (rnd.nextInt(4) == 0) Int.MinValue else rnd.nextInt(n + 2) - 1
+        val out = new Array[Int](n + 1); val wcL = new WorkCounter; val trims = new WorkCounter
+        val len =
+          if (difference) SetOps.difference(xs, 0, xs.length, ys, 0, ys.length, out, wcL, lb = lb)
+          else SetOps.intersect(xs, 0, xs.length, ys, 0, ys.length, out, wcL, lb = lb)
+        SetOps.countAtMost(xs, 0, xs.length, lb, trims); SetOps.countAtMost(ys, 0, ys.length, lb, trims)
+        val above = (zs: Array[Int]) => zs.filter(_ > lb)
+        val (aN, bN) = (above(xs).length, above(ys).length)
+        val lo = BitSetOps.from(lb, n)
+        val (aL, bL) = (xs.filter(_ >= lo).lastOption.getOrElse(-1), ys.filter(_ >= lo).lastOption.getOrElse(-1))
+        val a = rowFrom(xs, n, 2, lo); val b = rowFrom(ys, n, 1, lo)
+        for (withSet <- Seq(false, true)) {
+          val set = if (withSet) new Array[Long](BitSetOps.words(n)) else null
+          val wc = new WorkCounter
+          val m =
+            if (difference) BitSetOps.differenceFrom(a, 2, aN, aL, b, 1, bL, lo, set, wc)
+            else BitSetOps.intersectFrom(a, 2, aN, aL, b, 1, bN, bL, lo, set, wc)
+          val clue = s"n=$n a=${xs.toSeq} b=${ys.toSeq} lb=$lb set=$withSet"
+          assert((m, wc.ops) == ((len, wcL.ops - trims.ops)), clue)
+          if (withSet && m > 0) {
+            val end = if (difference) aL else math.min(aL, bL)
+            assert(elems(set, 0, end + 1).filter(_ >= lo) == out.take(len).toSeq, clue)
+          }
+        }
+      }
+    }
   }
 }
